@@ -5,14 +5,13 @@
 //! Cycles use the calibrated host clock (`IAWJ_CPU_GHZ` override →
 //! perf-measured → assumed 2.6 GHz); the banner labels which. Runs carry
 //! a span journal, so a companion table attributes the journaled
-//! contention marks (`latch:wait`, `cas:retry`, `swwc:flush`) to the
+//! contention marks (`latch:wait`, `cas:retry`) to the
 //! phase they occurred in.
 
 use iawj_bench::{banner, fmt, print_table, run, BenchEnv, SnapshotWriter};
 use iawj_common::PHASES;
 use iawj_core::Algorithm;
 use iawj_exec::cpu_clock;
-use iawj_exec::swwc::MARK_FLUSH;
 use iawj_obs::{MARK_CAS_RETRY, MARK_LATCH_WAIT};
 
 fn main() {
@@ -45,7 +44,7 @@ fn main() {
             rows.push(row);
             let per_1k = 1000.0 * per_tuple;
             let mut mark_row = vec![algo.name().to_string()];
-            for mark in [MARK_LATCH_WAIT, MARK_CAS_RETRY, MARK_FLUSH] {
+            for mark in [MARK_LATCH_WAIT, MARK_CAS_RETRY] {
                 for span in ["partition", "build/sort", "probe"] {
                     mark_row.push(fmt(res.count_marks_in(mark, span) as f64 * per_1k));
                 }
@@ -79,9 +78,6 @@ fn main() {
                     "cas@part",
                     "cas@build",
                     "cas@probe",
-                    "flush@part",
-                    "flush@build",
-                    "flush@probe",
                 ],
                 &mark_rows,
             );

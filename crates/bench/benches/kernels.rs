@@ -3,10 +3,10 @@
 //! merge-join — the ablation level below the per-figure harnesses.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use iawj_common::{ColumnarStream, Rng, Tuple};
+use iawj_common::{ColumnarStream, KernelBackend, Rng, Tuple};
 use iawj_exec::merge::{kway_merge, kway_merge_loser, merge_two_into, merge_two_into_branchless};
 use iawj_exec::mergejoin::count_matches;
-use iawj_exec::radix::{partition_parallel, partition_seq, partition_seq_buffered};
+use iawj_exec::radix::partition_seq;
 use iawj_exec::sort::{pack_tuples, sort_packed, SortBackend};
 use iawj_exec::{run_workers, LocalTable, SharedTable, StripedTable};
 use std::hint::black_box;
@@ -85,19 +85,14 @@ fn bench_radix(c: &mut Criterion) {
     let data = tuples(N, u32::MAX, 2);
     let mut g = c.benchmark_group("radix_partition");
     g.throughput(Throughput::Elements(N as u64));
-    for bits in [6u32, 10, 14] {
-        g.bench_with_input(BenchmarkId::new("seq", bits), &bits, |b, &bits| {
-            b.iter(|| black_box(partition_seq(&data, 0, bits).data.len()))
-        });
-    }
-    g.bench_function("parallel_10bit_4t", |b| {
-        b.iter(|| black_box(partition_parallel(&data, 0, 10, 4).data.len()))
-    });
-    // SWWCB ablation: direct vs write-combined scatter at high fan-out.
-    for bits in [10u32, 14] {
-        g.bench_with_input(BenchmarkId::new("seq_buffered", bits), &bits, |b, &bits| {
-            b.iter(|| black_box(partition_seq_buffered(&data, 0, bits).data.len()))
-        });
+    // PRJ's parallel pass is measured end to end by fig18_radix_bits.
+    for kernel in [KernelBackend::Scalar, KernelBackend::Simd] {
+        for bits in [6u32, 10, 14] {
+            let id = BenchmarkId::new(&format!("seq_{kernel}"), bits);
+            g.bench_with_input(id, &bits, |b, &bits| {
+                b.iter(|| black_box(partition_seq(&data, 0, bits, kernel).data.len()))
+            });
+        }
     }
     g.finish();
 }

@@ -154,7 +154,9 @@ impl SnapshotWriter {
             engine: res.algorithm.name().into(),
             threads: cfg.threads as u64,
             scheduler: cfg.sched.scheduler.to_string(),
-            scatter: cfg.prj.scatter.to_string(),
+            // The run key keeps its schema-v1 scatter field; PRJ has one
+            // scatter path, so the value is fixed.
+            scatter: "direct".into(),
             npj_table: cfg.npj.table.to_string(),
             kernel: cfg.kernel.backend.to_string(),
             throughput_tpms: res.throughput_tpms(),

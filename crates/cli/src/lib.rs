@@ -82,8 +82,6 @@ RUN OPTIONS (run, sweep, trace):
                      |IBWJ|IBWJ_PART (dashes accepted: ibwj-part)
   --threads N        worker threads (default 4, capped to the affinity mask;
                      oversubscribing the mask warns)
-  --executor MODE    worker provisioning: pool (persistent parked workers,
-                     the default) | spawn (fresh threads per run)
   --pin POLICY       pool worker placement: none|compact|scatter (default
                      none; compact packs SMT siblings and NUMA nodes,
                      scatter round-robins across nodes)
@@ -96,7 +94,6 @@ RUN OPTIONS (run, sweep, trace):
   --scalar-sort      disable the vectorizable sort backend
   --scheduler MODE   work distribution: static|steal (default static)
   --morsel-size N    steal-mode morsel size in tuples (default 1024, must be >0)
-  --scatter MODE     PRJ scatter path: direct|swwc (default direct)
   --npj-table MODE   NPJ shared table: latch|lockfree (default latch)
   --kernel MODE      hot-loop kernels: scalar|simd (default simd; simd batches
                      hashing 8 keys wide and software-prefetches bucket heads)
@@ -811,6 +808,14 @@ mod tests {
     fn unknown_option_is_reported() {
         let err = run_cli_str(&["run", "--algo", "NPJ", "--bogus", "1"]).unwrap_err();
         assert!(err.contains("bogus"), "{err}");
+    }
+
+    #[test]
+    fn removed_executor_and_scatter_options_are_rejected() {
+        for opt in ["--executor", "--scatter"] {
+            let err = run_cli_str(&["run", "--algo", "PRJ", opt, "pool"]).unwrap_err();
+            assert!(err.contains(&opt[2..]), "{opt}: {err}");
+        }
     }
 
     #[test]

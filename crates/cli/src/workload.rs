@@ -2,7 +2,7 @@
 
 use crate::args::{ArgError, Args};
 use iawj_common::KernelBackend;
-use iawj_core::{Algorithm, ExecMode, NpjTable, PinPolicy, RunConfig, ScatterMode, Scheduler};
+use iawj_core::{Algorithm, NpjTable, PinPolicy, RunConfig, Scheduler};
 use iawj_datagen::{debs, rovio, stock, ysb, Dataset, MicroSpec};
 use iawj_exec::{affinity_core_count, SortBackend};
 
@@ -24,11 +24,9 @@ pub const RUN_OPTS: &[&str] = &[
     "eager-merge",
     "scheduler",
     "morsel-size",
-    "scatter",
     "npj-table",
     "kernel",
     "prefetch-dist",
-    "executor",
     "pin",
     "index-partitions",
     "index-epochs",
@@ -173,17 +171,10 @@ pub fn warn_if_oversubscribed(threads: usize) {
     }
 }
 
-/// Apply `--executor` / `--pin` to a run configuration. Shared by every
-/// subcommand that executes joins so the knobs mean the same thing in
-/// one-shot runs and the streaming service.
+/// Apply `--pin` to a run configuration. Shared by every subcommand that
+/// executes joins so the knob means the same thing in one-shot runs and
+/// the streaming service.
 pub fn apply_exec_opts(args: &Args, cfg: &mut RunConfig) -> Result<(), ArgError> {
-    if let Some(v) = args.get("executor") {
-        cfg.exec.mode = v.parse::<ExecMode>().map_err(|_| ArgError::Invalid {
-            key: "executor".into(),
-            value: v.into(),
-            expected: "spawn|pool",
-        })?;
-    }
     if let Some(v) = args.get("pin") {
         cfg.exec.pin = v.parse::<PinPolicy>().map_err(|_| ArgError::Invalid {
             key: "pin".into(),
@@ -222,13 +213,6 @@ pub fn build_config(args: &Args) -> Result<RunConfig, ArgError> {
             value: "0".into(),
             expected: "a positive tuple count",
         });
-    }
-    if let Some(v) = args.get("scatter") {
-        cfg.prj.scatter = v.parse::<ScatterMode>().map_err(|_| ArgError::Invalid {
-            key: "scatter".into(),
-            value: v.into(),
-            expected: "direct|swwc",
-        })?;
     }
     if let Some(v) = args.get("npj-table") {
         cfg.npj.table = v.parse::<NpjTable>().map_err(|_| ArgError::Invalid {
@@ -418,36 +402,20 @@ mod tests {
     }
 
     #[test]
-    fn executor_and_pin_knobs() {
+    fn pin_knob() {
         let cfg = build_config(&parse("")).unwrap();
-        assert_eq!(cfg.exec.mode, ExecMode::Pool);
         assert_eq!(cfg.exec.pin, PinPolicy::None);
-        let cfg = build_config(&parse("--executor spawn")).unwrap();
-        assert_eq!(cfg.exec.mode, ExecMode::Spawn);
-        let cfg = build_config(&parse("--executor pool --pin compact")).unwrap();
-        assert_eq!(cfg.exec.mode, ExecMode::Pool);
+        let cfg = build_config(&parse("--pin compact")).unwrap();
         assert_eq!(cfg.exec.pin, PinPolicy::Compact);
         let cfg = build_config(&parse("--pin scatter")).unwrap();
         assert_eq!(cfg.exec.pin, PinPolicy::Scatter);
-        assert!(build_config(&parse("--executor rayon")).is_err());
         assert!(build_config(&parse("--pin numa")).is_err());
     }
 
     #[test]
     fn default_threads_respects_affinity_mask() {
         let d = default_threads();
-        assert!(d >= 1 && d <= 4);
+        assert!((1..=4).contains(&d));
         assert!(d <= affinity_core_count().max(1));
-    }
-
-    #[test]
-    fn scatter_knob() {
-        let cfg = build_config(&parse("")).unwrap();
-        assert_eq!(cfg.prj.scatter, ScatterMode::Direct);
-        let cfg = build_config(&parse("--scatter swwc")).unwrap();
-        assert_eq!(cfg.prj.scatter, ScatterMode::Swwc);
-        let cfg = build_config(&parse("--scatter direct")).unwrap();
-        assert_eq!(cfg.prj.scatter, ScatterMode::Direct);
-        assert!(build_config(&parse("--scatter buffered")).is_err());
     }
 }

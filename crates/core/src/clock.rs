@@ -48,7 +48,13 @@ impl EventClock {
     /// Stream milliseconds elapsed since the run began.
     #[inline]
     pub fn now_ms(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() * 1e3 * self.speedup
+        self.wall_ms() * self.speedup
+    }
+
+    /// Wall-clock milliseconds elapsed since the run began.
+    #[inline]
+    pub fn wall_ms(&self) -> f64 {
+        self.start.elapsed().as_secs_f64() * 1e3
     }
 
     /// Has a tuple with this arrival timestamp arrived?

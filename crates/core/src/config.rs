@@ -3,15 +3,11 @@
 
 use iawj_common::{KernelBackend, DEFAULT_PREFETCH_DIST};
 use iawj_exec::morsel::{MorselQueue, DEFAULT_MORSEL};
-use iawj_exec::{ExecMode, Executor, NpjTable, PinPolicy, ScatterMode, Scheduler, SortBackend};
+use iawj_exec::{Executor, NpjTable, PinPolicy, Scheduler, SortBackend};
 
-/// Executor knobs: how worker threads are provisioned and placed.
+/// Executor knobs: how the persistent pool's workers are placed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Worker provisioning: fresh scoped threads per run (`spawn`, the seed
-    /// behaviour) or a persistent parked pool reused across runs (`pool`,
-    /// the default).
-    pub mode: ExecMode,
     /// Core-placement policy for pool workers (`none` leaves the OS
     /// scheduler in charge; `compact`/`scatter` pin via `sched_setaffinity`).
     pub pin: PinPolicy,
@@ -60,9 +56,6 @@ pub struct PrjConfig {
     /// Split partitioning into two passes when `radix_bits` exceeds this
     /// (keeps first-pass fan-out within TLB reach, per Balkesen et al.).
     pub max_bits_per_pass: u32,
-    /// Scatter path: direct stores, or software write-combining buffers
-    /// (Balkesen et al.'s SWWCB) flushed a cache line at a time.
-    pub scatter: ScatterMode,
 }
 
 impl Default for PrjConfig {
@@ -70,7 +63,6 @@ impl Default for PrjConfig {
         PrjConfig {
             radix_bits: 10,
             max_bits_per_pass: 8,
-            scatter: ScatterMode::Direct,
         }
     }
 }
@@ -318,12 +310,6 @@ impl RunConfig {
         self
     }
 
-    /// Builder: select the executor mode (spawn-per-run vs persistent pool).
-    pub fn executor(mut self, mode: ExecMode) -> Self {
-        self.exec.mode = mode;
-        self
-    }
-
     /// Builder: select the core-placement policy for pool workers.
     pub fn pin(mut self, pin: PinPolicy) -> Self {
         self.exec.pin = pin;
@@ -339,12 +325,6 @@ impl RunConfig {
     /// Builder: set the morsel size for steal mode.
     pub fn morsel_size(mut self, morsel_size: usize) -> Self {
         self.sched.morsel_size = morsel_size;
-        self
-    }
-
-    /// Builder: select the PRJ scatter path.
-    pub fn scatter(mut self, scatter: ScatterMode) -> Self {
-        self.prj.scatter = scatter;
         self
     }
 
@@ -396,13 +376,12 @@ impl RunConfig {
     }
 
     /// Build the executor this config asks for: a persistent pool sized to
-    /// `threads` under the configured placement policy, or a spawn-mode
-    /// shim that delegates every run to fresh scoped threads. Callers that
+    /// `threads` under the configured placement policy. Callers that
     /// run many joins (benchmarks, the streaming service) should build one
     /// executor and pass it to [`crate::execute_on`] instead of paying
     /// pool construction per run.
     pub fn make_executor(&self) -> Executor {
-        Executor::new(self.exec.mode, self.exec.pin, self.threads)
+        Executor::new(self.exec.pin, self.threads)
     }
 
     /// A journal for one worker, relative to `epoch`: ring-buffered at
@@ -550,14 +529,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_builder_sets_prj_mode() {
-        let c = RunConfig::default();
-        assert_eq!(c.prj.scatter, ScatterMode::Direct);
-        let c = c.scatter(ScatterMode::Swwc);
-        assert_eq!(c.prj.scatter, ScatterMode::Swwc);
-    }
-
-    #[test]
     fn npj_table_builder_defaults_to_latch() {
         let c = RunConfig::default();
         assert_eq!(c.npj.table, NpjTable::Latch);
@@ -608,24 +579,18 @@ mod tests {
     #[test]
     fn exec_defaults_to_unpinned_pool() {
         let c = RunConfig::default();
-        assert_eq!(c.exec.mode, ExecMode::Pool);
         assert_eq!(c.exec.pin, PinPolicy::None);
-        let c = c.executor(ExecMode::Spawn).pin(PinPolicy::Compact);
-        assert_eq!(c.exec.mode, ExecMode::Spawn);
+        let c = c.pin(PinPolicy::Compact);
         assert_eq!(c.exec.pin, PinPolicy::Compact);
     }
 
     #[test]
     fn make_executor_matches_config() {
         let exec = RunConfig::with_threads(3).make_executor();
-        assert_eq!(exec.mode(), ExecMode::Pool);
         assert_eq!(exec.capacity(), 3);
+        assert_eq!(exec.pin_policy(), PinPolicy::None);
         let results = exec.run(3, |tid| tid * 10);
         assert_eq!(results, vec![0, 10, 20]);
-        let spawn = RunConfig::with_threads(2)
-            .executor(ExecMode::Spawn)
-            .make_executor();
-        assert_eq!(spawn.mode(), ExecMode::Spawn);
     }
 
     #[test]

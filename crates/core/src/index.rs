@@ -33,7 +33,7 @@ use crate::lazy::EmitClock;
 use crate::output::WorkerOut;
 use iawj_common::hash::hash_key;
 use iawj_common::kernel::tuple_buckets_into;
-use iawj_common::{KernelBackend, Phase, Sink, Tuple, Ts};
+use iawj_common::{KernelBackend, Phase, Sink, Ts, Tuple};
 use iawj_exec::morsel::MARK_CLAIM;
 use iawj_exec::{Executor, PhaseTimer, WindowIndex};
 use iawj_obs::{MARK_INDEX_EVICT, MARK_INDEX_INSERT, MARK_INDEX_REPART};
@@ -109,7 +109,13 @@ impl IbwjEngine {
     }
 
     /// Batched insert of `self.owned` into one side's index.
-    fn insert_owned(index: &mut WindowIndex, owned: &[Tuple], buckets: &mut Vec<usize>, kernel: KernelBackend, dist: usize) {
+    fn insert_owned(
+        index: &mut WindowIndex,
+        owned: &[Tuple],
+        buckets: &mut Vec<usize>,
+        kernel: KernelBackend,
+        dist: usize,
+    ) {
         tuple_buckets_into(kernel, owned, index.mask(), buckets);
         for (i, t) in owned.iter().enumerate() {
             if let Some(&ahead) = buckets.get(i + dist) {
@@ -161,14 +167,20 @@ impl Engine for IbwjEngine {
         );
         timer.instant(MARK_INDEX_INSERT);
         timer.switch_to(Phase::Probe);
-        tuple_buckets_into(self.kernel, &self.owned, self.s_index.mask(), &mut self.buckets);
+        tuple_buckets_into(
+            self.kernel,
+            &self.owned,
+            self.s_index.mask(),
+            &mut self.buckets,
+        );
         for (i, t) in self.owned.iter().enumerate() {
             if let Some(&ahead) = self.buckets.get(i + self.prefetch_dist) {
                 self.s_index.prefetch_bucket(ahead);
             }
             let now = emit.now();
-            self.s_index
-                .probe_at(self.buckets[i], t.key, |s_ts| out.sink.push(t.key, t.ts, s_ts, now));
+            self.s_index.probe_at(self.buckets[i], t.key, |s_ts| {
+                out.sink.push(t.key, t.ts, s_ts, now)
+            });
         }
     }
 
@@ -194,14 +206,20 @@ impl Engine for IbwjEngine {
         );
         timer.instant(MARK_INDEX_INSERT);
         timer.switch_to(Phase::Probe);
-        tuple_buckets_into(self.kernel, &self.owned, self.r_index.mask(), &mut self.buckets);
+        tuple_buckets_into(
+            self.kernel,
+            &self.owned,
+            self.r_index.mask(),
+            &mut self.buckets,
+        );
         for (i, t) in self.owned.iter().enumerate() {
             if let Some(&ahead) = self.buckets.get(i + self.prefetch_dist) {
                 self.r_index.prefetch_bucket(ahead);
             }
             let now = emit.now();
-            self.r_index
-                .probe_at(self.buckets[i], t.key, |r_ts| out.sink.push(t.key, r_ts, t.ts, now));
+            self.r_index.probe_at(self.buckets[i], t.key, |r_ts| {
+                out.sink.push(t.key, r_ts, t.ts, now)
+            });
         }
     }
 
@@ -272,7 +290,10 @@ fn build_plan(
         };
         let (assignment, repart) = if k == 0 {
             // Nothing observed yet: round-robin.
-            ((0..partitions).map(|p| p % workers).collect::<Vec<_>>(), false)
+            (
+                (0..partitions).map(|p| p % workers).collect::<Vec<_>>(),
+                false,
+            )
         } else {
             let prev = &plans[k - 1].assignment;
             let mut load = vec![0u64; workers];
@@ -326,17 +347,18 @@ fn join_partition(
     out: &mut WorkerOut,
     morsel: Option<usize>,
 ) {
-    let chunked = |batch: &[Tuple], timer: &mut PhaseTimer, f: &mut dyn FnMut(&[Tuple], &mut PhaseTimer)| {
-        match morsel {
-            Some(m) => {
-                for chunk in batch.chunks(m) {
-                    timer.instant(MARK_CLAIM);
-                    f(chunk, timer);
+    let chunked =
+        |batch: &[Tuple], timer: &mut PhaseTimer, f: &mut dyn FnMut(&[Tuple], &mut PhaseTimer)| {
+            match morsel {
+                Some(m) => {
+                    for chunk in batch.chunks(m) {
+                        timer.instant(MARK_CLAIM);
+                        f(chunk, timer);
+                    }
                 }
+                None => f(batch, timer),
             }
-            None => f(batch, timer),
-        }
-    };
+        };
     if !r_batch.is_empty() {
         chunked(r_batch, timer, &mut |chunk, timer| {
             timer.switch_to(Phase::BuildSort);
@@ -382,7 +404,15 @@ pub fn run_part_on(
     let partitions = cfg.index_partitions();
     let epochs = cfg.index.epochs.max(1);
     let span = arrive_by as u64 + 1;
-    let plan = build_plan(r, s, span, epochs, partitions, workers, cfg.index.repart_factor);
+    let plan = build_plan(
+        r,
+        s,
+        span,
+        epochs,
+        partitions,
+        workers,
+        cfg.index.repart_factor,
+    );
 
     let expected = (r.len() + s.len()) / partitions + 1;
     let parts: Vec<Mutex<PartState>> = (0..partitions)
@@ -434,12 +464,21 @@ pub fn run_part_on(
                 if ep.assignment[p] != w {
                     continue;
                 }
-                if owned_r[p].is_empty() && owned_s[p].is_empty() && cfg.index.evict_horizon_ms.is_none() {
+                if owned_r[p].is_empty()
+                    && owned_s[p].is_empty()
+                    && cfg.index.evict_horizon_ms.is_none()
+                {
                     continue;
                 }
                 let mut st = parts[p].lock().unwrap();
                 join_partition(
-                    &mut st, &owned_r[p], &owned_s[p], &mut timer, &mut emit, &mut out, morsel,
+                    &mut st,
+                    &owned_r[p],
+                    &owned_s[p],
+                    &mut timer,
+                    &mut emit,
+                    &mut out,
+                    morsel,
                 );
                 if let Some(h) = cfg.index.evict_horizon_ms {
                     let horizon = ep.wait_ts.saturating_sub(h);
@@ -503,7 +542,10 @@ mod tests {
             &cfg,
             &clock,
         );
-        assert_eq!(canonical(&out), nested_loop_join(&r, &s, Window::of_len(64)));
+        assert_eq!(
+            canonical(&out),
+            nested_loop_join(&r, &s, Window::of_len(64))
+        );
     }
 
     #[test]
@@ -607,7 +649,7 @@ mod tests {
                 let exec = cfg.make_executor();
                 let clock = EventClock::ungated();
                 let outs = run_part_on(&r, &s, &cfg, &clock, 63, &exec);
-                let mut got: Vec<_> = outs.iter().flat_map(|o| canonical(o)).collect();
+                let mut got: Vec<_> = outs.iter().flat_map(canonical).collect();
                 got.sort_unstable();
                 assert_eq!(got, expect, "seed={seed} threads={threads}");
             }

@@ -60,7 +60,6 @@ impl<T> Slots<T> {
     }
 
     /// Number of slots.
-    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.0.len()
     }

@@ -13,11 +13,10 @@ use crate::config::{KernelConfig, RunConfig};
 use crate::lazy::{steal_scan, EmitClock, Slots};
 use crate::output::WorkerOut;
 use iawj_common::kernel::tuple_buckets_into;
-use iawj_common::{Phase, Sink, Ts, Tuple};
+use iawj_common::{KernelBackend, Phase, Sink, Ts, Tuple};
 use iawj_exec::morsel::{for_each_morsel, MorselQueue, MARK_CLAIM, MARK_STEAL};
 use iawj_exec::pool::{barrier, chunk_range};
-use iawj_exec::radix::{histogram_kernel, partition_seq_kernel, ScatterPlan, SharedOut};
-use iawj_exec::swwc::{ScatterMode, SwwcBuffers, MARK_FLUSH};
+use iawj_exec::radix::{histogram, partition_seq, ScatterPlan, SharedOut};
 use iawj_exec::{Executor, LocalTable, PhaseTimer};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -35,6 +34,100 @@ fn grid_chunk(len: usize, m: usize, g: usize) -> std::ops::Range<usize> {
 #[inline]
 fn grid_cells(len: usize, m: usize) -> usize {
     len.div_ceil(m).max(1)
+}
+
+/// One input side of the cooperative first pass. Its scatter-plan slots
+/// are one contiguous chunk per worker in static mode, or a fixed morsel
+/// grid in steal mode: each grid cell is a slot, so any worker can claim
+/// any cell's histogram or scatter without violating the
+/// histogram-matches-chunk contract.
+struct Side<'a> {
+    tuples: &'a [Tuple],
+    threads: usize,
+    /// Grid morsel size in steal mode; `None` in static mode.
+    grid: Option<usize>,
+    /// One histogram per slot, published before the plan barrier.
+    hists: Slots<Vec<u32>>,
+    hist_q: MorselQueue,
+    scatter_q: MorselQueue,
+}
+
+impl<'a> Side<'a> {
+    fn new(tuples: &'a [Tuple], threads: usize, grid: Option<usize>) -> Self {
+        let cells = grid.map_or(0, |m| grid_cells(tuples.len(), m));
+        Side {
+            tuples,
+            threads,
+            grid,
+            hists: Slots::new(if grid.is_some() { cells } else { threads }),
+            hist_q: MorselQueue::new(cells, threads, 1),
+            scatter_q: MorselQueue::new(cells, threads, 1),
+        }
+    }
+
+    /// The input slice of slot `g`.
+    fn slot(&self, g: usize) -> &'a [Tuple] {
+        let len = self.tuples.len();
+        &self.tuples[match self.grid {
+            Some(m) => grid_chunk(len, m, g),
+            None => chunk_range(len, self.threads, g),
+        }]
+    }
+
+    /// Run `f` on each slot worker `tid` handles: its own chunk in static
+    /// mode, every grid cell it claims or steals from `q` in steal mode.
+    fn for_each_slot(
+        &self,
+        q: &MorselQueue,
+        tid: usize,
+        timer: &mut PhaseTimer,
+        mut f: impl FnMut(usize),
+    ) {
+        if self.grid.is_some() {
+            steal_scan(q, tid, timer, |cells| cells.for_each(&mut f));
+        } else {
+            f(tid);
+        }
+    }
+
+    fn histograms(&self, tid: usize, timer: &mut PhaseTimer, bits: u32, kernel: KernelBackend) {
+        self.for_each_slot(&self.hist_q, tid, timer, |g| {
+            self.hists.set(g, histogram(self.slot(g), 0, bits, kernel))
+        });
+    }
+
+    /// The scatter plan and output arena, once every histogram is published.
+    fn plan(&self, bits: u32, first_touch: bool) -> (ScatterPlan, SharedOut) {
+        let hists: Vec<Vec<u32>> = (0..self.hists.len())
+            .map(|g| self.hists.get(g).clone())
+            .collect();
+        let len = self.tuples.len();
+        let out = if first_touch {
+            SharedOut::new_first_touch(len)
+        } else {
+            SharedOut::new(len)
+        };
+        (ScatterPlan::from_histograms(&hists, 0, bits), out)
+    }
+
+    fn scatter(
+        &self,
+        tid: usize,
+        timer: &mut PhaseTimer,
+        plan: &ScatterPlan,
+        out: &SharedOut,
+        first_touch: bool,
+        kernel: KernelBackend,
+    ) {
+        self.for_each_slot(&self.scatter_q, tid, timer, |g| {
+            if first_touch {
+                // SAFETY: slot `g` is exactly the region this worker
+                // scatters next — toucher and writer are the same thread.
+                unsafe { plan.touch_chunk(g, out) };
+            }
+            plan.scatter_chunk(self.slot(g), g, out, kernel);
+        });
+    }
 }
 
 /// Run PRJ. Convenience wrapper over [`run_on`] that builds the executor
@@ -63,27 +156,9 @@ pub fn run_on(
     let bits1 = bits_total.min(cfg.prj.max_bits_per_pass).max(1);
     let bits2 = bits_total - bits1;
 
-    let stealing = cfg.sched.stealing();
-    let morsel = cfg.sched.morsel_size.max(1);
-    // Steal mode partitions over a fixed morsel grid instead of one chunk
-    // per thread: each grid cell is a scatter-plan slot, so any worker can
-    // claim any cell's histogram or scatter without violating the
-    // histogram-matches-chunk contract.
-    let (r_cells, s_cells) = if stealing {
-        (grid_cells(r.len(), morsel), grid_cells(s.len(), morsel))
-    } else {
-        (0, 0)
-    };
-    let r_ghists: Slots<Vec<u32>> = Slots::new(r_cells);
-    let s_ghists: Slots<Vec<u32>> = Slots::new(s_cells);
-    let r_hist_q = MorselQueue::new(r_cells, threads, 1);
-    let s_hist_q = MorselQueue::new(s_cells, threads, 1);
-    let r_scatter_q = MorselQueue::new(r_cells, threads, 1);
-    let s_scatter_q = MorselQueue::new(s_cells, threads, 1);
-
-    let r_hists: Slots<Vec<u32>> = Slots::new(threads);
-    let s_hists: Slots<Vec<u32>> = Slots::new(threads);
-    let plans: Slots<(ScatterPlan, SharedOut, ScatterPlan, SharedOut)> = Slots::new(1);
+    let grid = cfg.sched.stealing().then(|| cfg.sched.morsel_size.max(1));
+    let (r_side, s_side) = (Side::new(r, threads, grid), Side::new(s, threads, grid));
+    let plans: Slots<[(ScatterPlan, SharedOut); 2]> = Slots::new(1);
     let hist_done = barrier(threads);
     let plan_done = barrier(threads);
     let scatter_done = barrier(threads);
@@ -103,149 +178,23 @@ pub fn run_on(
         // --- Pass 1: cooperative parallel partition of R and S ---
         let kernel = cfg.kernel.backend;
         timer.switch_to(Phase::Partition);
-        if stealing {
-            steal_scan(&r_hist_q, tid, &mut timer, |cells| {
-                for g in cells {
-                    r_ghists.set(
-                        g,
-                        histogram_kernel(&r[grid_chunk(r.len(), morsel, g)], 0, bits1, kernel),
-                    );
-                }
-            });
-            steal_scan(&s_hist_q, tid, &mut timer, |cells| {
-                for g in cells {
-                    s_ghists.set(
-                        g,
-                        histogram_kernel(&s[grid_chunk(s.len(), morsel, g)], 0, bits1, kernel),
-                    );
-                }
-            });
-        } else {
-            r_hists.set(
-                tid,
-                histogram_kernel(&r[chunk_range(r.len(), threads, tid)], 0, bits1, kernel),
-            );
-            s_hists.set(
-                tid,
-                histogram_kernel(&s[chunk_range(s.len(), threads, tid)], 0, bits1, kernel),
-            );
-        }
+        r_side.histograms(tid, &mut timer, bits1, kernel);
+        s_side.histograms(tid, &mut timer, bits1, kernel);
         hist_done.wait();
         timer.instant("barrier:histograms_done");
         if tid == 0 {
-            let (rh, sh): (Vec<Vec<u32>>, Vec<Vec<u32>>) = if stealing {
-                (
-                    (0..r_cells).map(|g| r_ghists.get(g).clone()).collect(),
-                    (0..s_cells).map(|g| s_ghists.get(g).clone()).collect(),
-                )
-            } else {
-                (
-                    (0..threads).map(|i| r_hists.get(i).clone()).collect(),
-                    (0..threads).map(|i| s_hists.get(i).clone()).collect(),
-                )
-            };
-            let rp = ScatterPlan::from_histograms(&rh, 0, bits1);
-            let sp = ScatterPlan::from_histograms(&sh, 0, bits1);
-            let (ro, so) = if first_touch {
-                (
-                    SharedOut::new_first_touch(r.len()),
-                    SharedOut::new_first_touch(s.len()),
-                )
-            } else {
-                (SharedOut::new(r.len()), SharedOut::new(s.len()))
-            };
-            plans.set(0, (rp, ro, sp, so));
+            plans.set(
+                0,
+                [
+                    r_side.plan(bits1, first_touch),
+                    s_side.plan(bits1, first_touch),
+                ],
+            );
         }
         plan_done.wait();
-        let (r_plan, r_out, s_plan, s_out) = plans.get(0);
-        // SWWC mode: one write-combining buffer set per worker per side,
-        // reused across every chunk/cell this worker scatters (the scatter
-        // call drains it at each slot boundary, so reuse is residue-free).
-        let swwc = cfg.prj.scatter == ScatterMode::Swwc;
-        let mut wc = if swwc {
-            Some((SwwcBuffers::for_bits(bits1), SwwcBuffers::for_bits(bits1)))
-        } else {
-            None
-        };
-        if stealing {
-            steal_scan(&r_scatter_q, tid, &mut timer, |cells| {
-                for g in cells {
-                    let c = &r[grid_chunk(r.len(), morsel, g)];
-                    if first_touch {
-                        // SAFETY: cell `g` is exactly the region this worker
-                        // scatters next — toucher and writer are one thread.
-                        unsafe { r_plan.touch_chunk(g, r_out) };
-                    }
-                    match &mut wc {
-                        Some((rb, _)) => r_plan.scatter_chunk_swwc_kernel(c, g, r_out, rb, kernel),
-                        None => r_plan.scatter_chunk_kernel(c, g, r_out, kernel),
-                    }
-                }
-            });
-            steal_scan(&s_scatter_q, tid, &mut timer, |cells| {
-                for g in cells {
-                    let c = &s[grid_chunk(s.len(), morsel, g)];
-                    if first_touch {
-                        // SAFETY: as above — same thread touches then writes.
-                        unsafe { s_plan.touch_chunk(g, s_out) };
-                    }
-                    match &mut wc {
-                        Some((_, sb)) => s_plan.scatter_chunk_swwc_kernel(c, g, s_out, sb, kernel),
-                        None => s_plan.scatter_chunk_kernel(c, g, s_out, kernel),
-                    }
-                }
-            });
-        } else {
-            if first_touch {
-                // SAFETY: slot `tid` is exactly the region this worker is
-                // about to scatter — toucher and writer are the same thread.
-                unsafe {
-                    r_plan.touch_chunk(tid, r_out);
-                    s_plan.touch_chunk(tid, s_out);
-                }
-            }
-            match &mut wc {
-                Some((rb, sb)) => {
-                    r_plan.scatter_chunk_swwc_kernel(
-                        &r[chunk_range(r.len(), threads, tid)],
-                        tid,
-                        r_out,
-                        rb,
-                        kernel,
-                    );
-                    s_plan.scatter_chunk_swwc_kernel(
-                        &s[chunk_range(s.len(), threads, tid)],
-                        tid,
-                        s_out,
-                        sb,
-                        kernel,
-                    );
-                }
-                None => {
-                    r_plan.scatter_chunk_kernel(
-                        &r[chunk_range(r.len(), threads, tid)],
-                        tid,
-                        r_out,
-                        kernel,
-                    );
-                    s_plan.scatter_chunk_kernel(
-                        &s[chunk_range(s.len(), threads, tid)],
-                        tid,
-                        s_out,
-                        kernel,
-                    );
-                }
-            }
-        }
-        if let Some((rb, sb)) = &wc {
-            // One journal mark per end-of-slot buffer drain (chunk in
-            // static mode, grid cell in steal mode), emitted after the
-            // scatter so the hot loop stays mark-free. Across workers the
-            // drain marks therefore count the scatter slots exactly.
-            for _ in 0..(rb.drains() + sb.drains()) {
-                timer.instant(MARK_FLUSH);
-            }
-        }
+        let [(r_plan, r_out), (s_plan, s_out)] = plans.get(0);
+        r_side.scatter(tid, &mut timer, r_plan, r_out, first_touch, kernel);
+        s_side.scatter(tid, &mut timer, s_plan, s_out, first_touch, kernel);
         timer.switch_to(Phase::Other);
         scatter_done.wait();
         timer.instant("barrier:scatter_done");
@@ -277,8 +226,8 @@ pub fn run_on(
                 if bits2 > 0 {
                     // --- Pass 2: thread-local refinement ---
                     timer.switch_to(Phase::Partition);
-                    let rr = partition_seq_kernel(rp, bits1, bits2, kernel);
-                    let ss = partition_seq_kernel(sp, bits1, bits2, kernel);
+                    let rr = partition_seq(rp, bits1, bits2, kernel);
+                    let ss = partition_seq(sp, bits1, bits2, kernel);
                     for q in 0..rr.fanout() {
                         join_partition(
                             rr.partition(q),
@@ -294,7 +243,7 @@ pub fn run_on(
                     join_partition(rp, sp, &kcfg, &mut buckets, timer, emit, out);
                 }
             };
-        if stealing {
+        if grid.is_some() {
             // Per-worker deques of partition ids with steal-half: a worker
             // stuck on a heavy Zipf partition sheds the rest of its deque.
             for_each_morsel(&join_q, tid, |range, stolen| {
@@ -376,7 +325,7 @@ fn join_partition(
 mod tests {
     use super::*;
     use crate::reference::nested_loop_join;
-    use iawj_common::{KernelBackend, Rng, Window};
+    use iawj_common::{Rng, Window};
 
     fn random_stream(n: usize, keys: u32, seed: u64) -> Vec<Tuple> {
         let mut rng = Rng::new(seed);
@@ -433,92 +382,6 @@ mod tests {
         let outs = run(&r, &s, &cfg, &clock, 0);
         let total: u64 = outs.iter().map(|w| w.sink.count()).sum();
         assert_eq!(total, 200 * 100);
-    }
-
-    #[test]
-    fn swwc_scatter_ablation_is_correct() {
-        let r = random_stream(2000, 1 << 10, 9);
-        let s = random_stream(2000, 1 << 10, 10);
-        let cfg = RunConfig::with_threads(4)
-            .record_all()
-            .scatter(ScatterMode::Swwc);
-        let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
-        assert_eq!(
-            canonical(&outs),
-            nested_loop_join(&r, &s, Window::of_len(64))
-        );
-    }
-
-    /// The scatter knob is an implementation ablation: both modes must
-    /// produce the identical match set under both schedulers and both pass
-    /// shapes.
-    #[test]
-    fn scatter_modes_agree_across_schedulers() {
-        use iawj_exec::Scheduler;
-        let r = random_stream(2500, 1 << 10, 31);
-        let s = random_stream(2500, 1 << 10, 32);
-        let expect = nested_loop_join(&r, &s, Window::of_len(64));
-        for sched in Scheduler::ALL {
-            for mode in ScatterMode::ALL {
-                for (bits, per_pass) in [(6u32, 8u32), (10, 6)] {
-                    let mut cfg = RunConfig::with_threads(4)
-                        .record_all()
-                        .scheduler(sched)
-                        .morsel_size(128)
-                        .scatter(mode);
-                    cfg.prj.radix_bits = bits;
-                    cfg.prj.max_bits_per_pass = per_pass;
-                    let clock = EventClock::ungated();
-                    let outs = run(&r, &s, &cfg, &clock, 0);
-                    assert_eq!(
-                        canonical(&outs),
-                        expect,
-                        "scheduler={sched} scatter={mode} bits={bits}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// SWWC drains are journaled: one `swwc:flush` mark per scatter slot —
-    /// a chunk per worker per side in static mode, a grid cell per side in
-    /// steal mode.
-    #[test]
-    fn swwc_drains_are_journaled() {
-        use iawj_exec::Scheduler;
-        let r = random_stream(1000, 128, 23);
-        let s = random_stream(1000, 128, 24);
-        let count_flush_marks = |outs: &[WorkerOut]| -> usize {
-            outs.iter()
-                .filter_map(|w| w.journal.as_ref())
-                .map(|j| j.count_marks(MARK_FLUSH))
-                .sum()
-        };
-        let mut cfg = RunConfig::with_threads(4)
-            .record_all()
-            .scatter(ScatterMode::Swwc)
-            .with_journal();
-        cfg.prj.radix_bits = 6;
-        let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
-        assert_eq!(
-            count_flush_marks(&outs),
-            4 * 2,
-            "one drain per worker per side"
-        );
-
-        let mut cfg = RunConfig::with_threads(4)
-            .record_all()
-            .scheduler(Scheduler::Steal)
-            .morsel_size(100)
-            .scatter(ScatterMode::Swwc)
-            .with_journal();
-        cfg.prj.radix_bits = 6;
-        let clock = EventClock::ungated();
-        let outs = run(&r, &s, &cfg, &clock, 0);
-        // 10 grid cells per side, each drained exactly once.
-        assert_eq!(count_flush_marks(&outs), 10 + 10);
     }
 
     #[test]

@@ -117,7 +117,7 @@ mod tests {
         for &(emit, arrival) in samples {
             w.sink.push(1, arrival, arrival, emit);
         }
-        let mut r = RunResult::merge(Algorithm::Npj, 100, sample_every, 100.0, vec![w]);
+        let mut r = RunResult::merge(Algorithm::Npj, 100, sample_every, 100.0, 100.0, vec![w]);
         r.matches = matches; // simulate a counting sink that saw more
         r
     }
@@ -231,13 +231,13 @@ mod tests {
         for i in 0..200 {
             w.sink.push(1, 0, 0, i as f64);
         }
-        let r = RunResult::merge(Algorithm::Npj, 100, 100, 250.0, vec![w]);
+        let r = RunResult::merge(Algorithm::Npj, 100, 100, 250.0, 250.0, vec![w]);
         assert_eq!(r.samples.len(), 3);
         let p99 = latency_quantile_exact_ms(&r, 0.99).unwrap();
         assert!((p99 - 198.0).abs() <= 198.0 / 128.0 + 0.001, "p99={p99}");
         assert_eq!(latency_max_ms(&r).unwrap(), 199.0);
         // No matches → no quantiles.
-        let empty = RunResult::merge(Algorithm::Npj, 0, 1, 1.0, vec![WorkerOut::new(1)]);
+        let empty = RunResult::merge(Algorithm::Npj, 0, 1, 1.0, 1.0, vec![WorkerOut::new(1)]);
         assert!(latency_quantile_exact_ms(&empty, 0.5).is_none());
         assert!(latency_max_ms(&empty).is_none());
     }

@@ -73,6 +73,9 @@ pub struct RunResult {
     pub last_emit_ms: f64,
     /// Stream time when the last worker finished.
     pub elapsed_ms: f64,
+    /// Wall-clock time when the last worker finished: `elapsed_ms` divided
+    /// by the run's speedup.
+    pub wall_ms: f64,
     /// Phase breakdown summed over workers (total CPU-side cost).
     pub breakdown: PhaseBreakdown,
     /// Hardware-counter deltas per phase, summed over workers (all-zero
@@ -122,6 +125,7 @@ impl RunResult {
         total_inputs: usize,
         sample_every: u64,
         elapsed_ms: f64,
+        wall_ms: f64,
         workers: Vec<WorkerOut>,
     ) -> Self {
         let threads = workers.len();
@@ -164,6 +168,7 @@ impl RunResult {
             sample_every,
             last_emit_ms,
             elapsed_ms,
+            wall_ms,
             breakdown,
             counters,
             counter_source,
@@ -204,9 +209,10 @@ impl RunResult {
     }
 
     /// CPU utilisation estimate: busy (non-wait) time over `threads ×
-    /// elapsed` (Table 6).
+    /// wall elapsed` (Table 6). Busy time is measured in wall ns, so the
+    /// denominator is wall time too, never the speedup-scaled stream time.
     pub fn cpu_utilisation(&self) -> f64 {
-        let wall_ns = self.elapsed_ms * 1e6;
+        let wall_ns = self.wall_ms * 1e6;
         if wall_ns <= 0.0 || self.threads == 0 {
             return 0.0;
         }
@@ -251,6 +257,7 @@ mod tests {
             1000,
             1,
             20.0,
+            20.0,
             vec![worker(10, 10.0, 5, 5), worker(20, 15.0, 5, 5)],
         );
         assert_eq!(r.matches, 30);
@@ -264,13 +271,20 @@ mod tests {
 
     #[test]
     fn throughput_uses_last_match() {
-        let r = RunResult::merge(Algorithm::Npj, 300, 1, 50.0, vec![worker(3, 10.0, 0, 1)]);
+        let r = RunResult::merge(
+            Algorithm::Npj,
+            300,
+            1,
+            50.0,
+            50.0,
+            vec![worker(3, 10.0, 0, 1)],
+        );
         assert!((r.throughput_tpms() - 30.0).abs() < 1e-9);
     }
 
     #[test]
     fn throughput_falls_back_to_elapsed() {
-        let r = RunResult::merge(Algorithm::Npj, 100, 1, 4.0, vec![worker(0, 0.0, 0, 1)]);
+        let r = RunResult::merge(Algorithm::Npj, 100, 1, 4.0, 4.0, vec![worker(0, 0.0, 0, 1)]);
         assert!((r.throughput_tpms() - 25.0).abs() < 1e-9);
     }
 
@@ -292,7 +306,23 @@ mod tests {
             10,
             1,
             1.0,
+            1.0,
             vec![worker(1, 1.0, 500_000, 500_000)],
+        );
+        assert!((r.cpu_utilisation() - 0.5).abs() < 0.01);
+    }
+
+    #[test]
+    fn utilisation_divides_by_wall_time_not_stream_time() {
+        // Speedup 25: 1 wall ms is 25 stream ms. Busy 5e5 ns of a 1e6 ns
+        // wall run is 50% busy, whatever the stream clock reads.
+        let r = RunResult::merge(
+            Algorithm::Npj,
+            10,
+            1,
+            25.0,
+            1.0,
+            vec![worker(1, 25.0, 500_000, 500_000)],
         );
         assert!((r.cpu_utilisation() - 0.5).abs() < 0.01);
     }

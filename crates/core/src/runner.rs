@@ -90,7 +90,7 @@ fn execute_with(
         .max(dataset.s.last().map(|t| t.ts).unwrap_or(0));
 
     let mut workers = run_algorithm(algorithm, dataset, cfg, &clock, arrive_by, exec);
-    let elapsed_ms = clock.now_ms();
+    let (elapsed_ms, wall_ms) = (clock.now_ms(), clock.wall_ms());
     for (tid, w) in workers.iter_mut().enumerate() {
         w.core_id = exec.observed_core(tid);
     }
@@ -99,6 +99,7 @@ fn execute_with(
         dataset.total_inputs(),
         cfg.sample_every,
         elapsed_ms,
+        wall_ms,
         workers,
     )
 }
@@ -372,12 +373,12 @@ mod tests {
     }
 
     #[test]
-    fn pool_executor_is_bitwise_identical_to_spawn() {
-        use iawj_exec::ExecMode;
+    fn pin_policies_are_bitwise_identical() {
+        use iawj_exec::PinPolicy;
         let ds = small_static();
         for algo in Algorithm::STUDIED {
-            let collect = |mode: ExecMode| {
-                let cfg = RunConfig::with_threads(4).record_all().executor(mode);
+            let collect = |pin: PinPolicy| {
+                let cfg = RunConfig::with_threads(4).record_all().pin(pin);
                 let result = execute(algo, &ds, &cfg);
                 let mut got: Vec<_> = result
                     .samples
@@ -387,11 +388,10 @@ mod tests {
                 got.sort_unstable();
                 (result.matches, got)
             };
-            assert_eq!(
-                collect(ExecMode::Spawn),
-                collect(ExecMode::Pool),
-                "{algo} diverged between executors"
-            );
+            let unpinned = collect(PinPolicy::None);
+            for pin in [PinPolicy::Compact, PinPolicy::Scatter] {
+                assert_eq!(collect(pin), unpinned, "{algo} diverged under pin={pin}");
+            }
         }
     }
 

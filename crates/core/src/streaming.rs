@@ -318,7 +318,12 @@ impl StreamIndex {
         let threads = run.threads.max(1);
         StreamIndex {
             parts: (0..p_n)
-                .map(|_| (WindowIndex::with_capacity(64), WindowIndex::with_capacity(64)))
+                .map(|_| {
+                    (
+                        WindowIndex::with_capacity(64),
+                        WindowIndex::with_capacity(64),
+                    )
+                })
                 .collect(),
             assignment: (0..p_n).map(|p| p % threads).collect(),
             threads,
@@ -1065,11 +1070,16 @@ pub fn run_replay(
     s: Vec<Tuple>,
     queue_cap: usize,
 ) -> StreamReport {
+    replay(StreamingJoin::new(cfg), r, s, queue_cap)
+}
+
+/// [`run_replay`] on an already-built operator.
+fn replay(join: StreamingJoin, r: Vec<Tuple>, s: Vec<Tuple>, queue_cap: usize) -> StreamReport {
     let (tx_r, rx_r) = stream_channel(queue_cap);
     let (tx_s, rx_s) = stream_channel(queue_cap);
     let h_r = spawn_source(iawj_datagen::ReplaySource::new(r), tx_r);
     let h_s = spawn_source(iawj_datagen::ReplaySource::new(s), tx_s);
-    let report = StreamingJoin::new(cfg).run(rx_r, rx_s, |_| {}, |_| {});
+    let report = join.run(rx_r, rx_s, |_| {}, |_| {});
     let _ = h_r.join();
     let _ = h_s.join();
     report
@@ -1182,11 +1192,24 @@ mod tests {
     #[test]
     fn tuples_behind_the_watermark_are_dropped_and_counted() {
         // In-order run with zero lateness, then inject one stale tuple.
-        let mut r = stream(100, 4, 400, 11);
-        r.push(Tuple::new(1, 0)); // arrives last, 400 ms stale
+        let r = stream(100, 4, 400, 11);
         let s = stream(100, 4, 400, 12);
         let spec = WindowSpec::Tumbling { len_ms: 100 };
-        let report = run_replay(cfg(spec), r, s, 16);
+        // The straggler must arrive after the watermark exists, which needs
+        // a timestamp from both sides: send it only once S's producer has
+        // pushed every tuple (all but the queue's 16 are ingested by then).
+        let (tx_r, rx_r) = stream_channel(16);
+        let (tx_s, rx_s) = stream_channel(16);
+        let h_s = spawn_source(iawj_datagen::ReplaySource::new(s), tx_s);
+        let h_r = std::thread::spawn(move || {
+            for t in r {
+                tx_r.send(t).expect("operator alive");
+            }
+            h_s.join().expect("S producer");
+            tx_r.send(Tuple::new(1, 0)).expect("operator alive"); // 400 ms stale
+        });
+        let report = StreamingJoin::new(cfg(spec)).run(rx_r, rx_s, |_| {}, |_| {});
+        h_r.join().expect("R producer");
         assert_eq!(report.late_dropped, 1);
         assert_eq!(report.count_marks(MARK_STREAM_LATE), 1);
     }
@@ -1248,21 +1271,24 @@ mod tests {
     }
 
     #[test]
-    fn pool_and_spawn_executors_agree_on_stream_results() {
-        use iawj_exec::ExecMode;
+    fn pooled_and_fallback_executors_agree_on_stream_results() {
+        use iawj_exec::PinPolicy;
         let r = stream(250, 8, 800, 17);
         let s = stream(250, 8, 800, 18);
         let spec = WindowSpec::Sliding {
             len_ms: 300,
             slide_ms: 100,
         };
-        let mk = |mode: ExecMode| {
-            cfg(spec).run_config(RunConfig::with_threads(2).record_all().executor(mode))
-        };
-        let pool = run_replay(mk(ExecMode::Pool), r.clone(), s.clone(), 32);
-        let spawn = run_replay(mk(ExecMode::Spawn), r, s, 32);
-        assert_eq!(stream_counts(&pool), stream_counts(&spawn));
-        assert_eq!(pool.matches, spawn.matches);
+        let mk =
+            || StreamingJoin::new(cfg(spec).run_config(RunConfig::with_threads(2).record_all()));
+        let pool = replay(mk(), r.clone(), s.clone(), 32);
+        // A capacity-1 executor runs every 2-lane engine job through the
+        // `run_workers` fallback instead of the pool.
+        let mut narrow = mk();
+        narrow.exec = Executor::new(PinPolicy::None, 1);
+        let fallback = replay(narrow, r, s, 32);
+        assert_eq!(stream_counts(&pool), stream_counts(&fallback));
+        assert_eq!(pool.matches, fallback.matches);
     }
 
     #[test]
@@ -1329,7 +1355,11 @@ mod tests {
                 .lateness(50);
             let report = run_replay(sc, jr.clone(), js.clone(), 32);
             assert_eq!(report.late_dropped, 0, "{engine}");
-            assert_eq!(stream_counts(&report), batch_counts(spec, &r, &s), "{engine}");
+            assert_eq!(
+                stream_counts(&report),
+                batch_counts(spec, &r, &s),
+                "{engine}"
+            );
         }
     }
 

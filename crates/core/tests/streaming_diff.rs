@@ -7,11 +7,12 @@
 //! watermark holding `lateness` behind the maximum seen timestamp never
 //! declares such a tuple late.
 
+use iawj_common::spsc::stream_channel;
 use iawj_common::Tuple;
-use iawj_core::streaming::{run_replay, StreamConfig};
+use iawj_core::streaming::{run_replay, spawn_source, StreamConfig, StreamingJoin};
 use iawj_core::windowing::{execute_windowed, WindowSpec};
 use iawj_core::{Algorithm, RunConfig};
-use iawj_datagen::{jitter_arrival_order, MicroSpec};
+use iawj_datagen::{jitter_arrival_order, MicroSpec, ReplaySource};
 
 const ENGINES: &[Algorithm] = &[
     Algorithm::Npj,
@@ -156,15 +157,31 @@ fn late_tuples_never_reach_the_persistent_index() {
     // punctual tuples alone, and count exactly the injected stragglers.
     let (r, s) = streams(200, 600, 0.4, 41);
     let spec = WindowSpec::Tumbling { len_ms: 150 };
+    const QUEUE_CAP: usize = 64;
+    assert!(s.len() > QUEUE_CAP);
     for &engine in &[Algorithm::Ibwj, Algorithm::IbwjPart] {
-        let mut arrival_r = r.clone();
-        arrival_r.push(Tuple::new(3, 0)); // arrives last, ~600 ms stale
         let run = RunConfig::with_threads(2);
         let oracle = execute_windowed(engine, &r, &s, spec, &run);
         let cfg = StreamConfig::new(spec, engine)
             .run_config(run)
             .tick_every_ms(0.0);
-        let report = run_replay(cfg, arrival_r, s.clone(), 64);
+        // The straggler must arrive after the watermark exists, which
+        // needs a timestamp from both sides. Send it only once S's
+        // producer has pushed every tuple: with a bounded queue, all but
+        // QUEUE_CAP of them have been ingested by then.
+        let (tx_r, rx_r) = stream_channel(QUEUE_CAP);
+        let (tx_s, rx_s) = stream_channel(QUEUE_CAP);
+        let h_s = spawn_source(ReplaySource::new(s.clone()), tx_s);
+        let punctual = r.clone();
+        let h_r = std::thread::spawn(move || {
+            for t in punctual {
+                tx_r.send(t).expect("operator alive");
+            }
+            h_s.join().expect("S producer");
+            tx_r.send(Tuple::new(3, 0)).expect("operator alive"); // ~600 ms stale
+        });
+        let report = StreamingJoin::new(cfg).run(rx_r, rx_s, |_| {}, |_| {});
+        h_r.join().expect("R producer");
         assert_eq!(report.late_dropped, 1, "{engine}");
         let got: Vec<u64> = report.windows.iter().map(|w| w.matches).collect();
         let want: Vec<u64> = oracle.iter().map(|w| w.result.matches).collect();

@@ -17,8 +17,8 @@
 //!   alternative to `pool::chunk_range` for skew-robust scans (Fig. 10).
 //! - [`timer`] — per-thread phase timers; wall time stands in for RDTSC and
 //!   is converted to cycles at the nominal 2.6 GHz of the paper's machine.
-//! - [`radix`] — histogram-based radix partitioning, sequential and
-//!   parallel (the PRJ substrate, also used by the Figure 18 sweep).
+//! - [`radix`] — histogram-based radix partitioning: the sequential
+//!   reference and the scatter plan behind PRJ's parallel pass (Fig. 18).
 //! - [`sort`] — the two sort backends: a deliberately branchy scalar
 //!   mergesort and a branchless, auto-vectorizable sorting-network variant
 //!   standing in for the original AVX `avxsort` (Figure 21).
@@ -28,8 +28,6 @@
 //! - [`hashtable`] — NPJ's shared tables (per-bucket latched, striped, and
 //!   lock-free CAS-chained) and the thread-local chained table used by PRJ
 //!   and SHJ.
-//! - [`swwc`] — software write-combining scatter buffers and the cachesim
-//!   A/B harness validating their miss reduction (Fig. 18 / Table 5).
 //! - [`window_index`] — the evictable hash index over resident window
 //!   content that backs the IBWJ engine family.
 
@@ -42,18 +40,16 @@ pub mod morsel;
 pub mod pool;
 pub mod radix;
 pub mod sort;
-pub mod swwc;
 pub mod timer;
 pub mod topology;
 pub mod window_index;
 
-pub use executor::{ExecMode, Executor};
+pub use executor::Executor;
 pub use hashtable::{LocalTable, LockFreeTable, NpjTable, SharedTable, StripedTable};
 pub use latch::Latch;
 pub use morsel::{for_each_morsel, MorselQueue, MorselStats, Scheduler, DEFAULT_MORSEL};
 pub use pool::run_workers;
 pub use sort::SortBackend;
-pub use swwc::{ScatterMode, SwwcBuffers, SWWC_TUPLES_PER_LINE};
 pub use timer::{
     cpu_clock, ns_to_cycles, ClockSource, CpuClock, PhaseTimer, TimerParts, NOMINAL_GHZ,
 };

@@ -3,12 +3,12 @@
 //!
 //! Tuples are partitioned on the binary digits of their *keys* (not a hash),
 //! exactly as Kim et al.'s original PRJ does: `partition = (key >> shift) &
-//! (fanout-1)`. The parallel variant follows the classic three-step shape —
-//! per-thread histograms, global prefix sums, contention-free scatter into
-//! disjoint output ranges.
+//! (fanout-1)`. The parallel pass (driven by PRJ) follows the classic
+//! three-step shape — per-slot [`histogram`]s, global prefix sums in
+//! [`ScatterPlan::from_histograms`], contention-free
+//! [`ScatterPlan::scatter_chunk`] into disjoint output ranges;
+//! [`partition_seq`] is the single-threaded reference it must match.
 
-use crate::executor::Executor;
-use crate::pool::chunk_range;
 use iawj_common::kernel::{partition_batch8, HASH_BLOCK};
 use iawj_common::{KernelBackend, Key, Tuple};
 
@@ -24,22 +24,20 @@ pub fn partition_of(key: Key, shift: u32, bits: u32) -> usize {
     ((key >> shift) as usize) & (fanout(bits) - 1)
 }
 
-/// Per-partition counts of a tuple slice.
-pub fn histogram(tuples: &[Tuple], shift: u32, bits: u32) -> Vec<u32> {
-    histogram_kernel(tuples, shift, bits, KernelBackend::Scalar)
-}
-
-/// [`histogram`] with a selectable derivation kernel: under
+/// Call `f(partition, tuple)` for every tuple in input order. Under
 /// [`KernelBackend::Simd`] partition indices come 8 keys at a time from the
-/// batched shift-and-mask kernel. Counts are bitwise-identical across
-/// backends — the derivation is pure bit arithmetic either way.
-pub fn histogram_kernel(
+/// batched shift-and-mask kernel; the derivation is pure bit arithmetic, so
+/// every backend yields the same indices. [`KernelBackend::Scalar`] is the
+/// portable (and Miri) path.
+#[inline(always)]
+fn for_each_partition(
     tuples: &[Tuple],
     shift: u32,
     bits: u32,
     kernel: KernelBackend,
-) -> Vec<u32> {
-    let mut hist = vec![0u32; fanout(bits)];
+    mut f: impl FnMut(usize, &Tuple),
+) {
+    let mut rest = tuples;
     if kernel.is_simd() {
         let mask32 = (fanout(bits) - 1) as u32;
         let mut chunks = tuples.chunks_exact(HASH_BLOCK);
@@ -48,18 +46,23 @@ pub fn histogram_kernel(
             for (k, t) in keys.iter_mut().zip(block) {
                 *k = t.key;
             }
-            for p in partition_batch8(kernel, &keys, shift, mask32) {
-                hist[p] += 1;
+            let parts = partition_batch8(kernel, &keys, shift, mask32);
+            for (t, &p) in block.iter().zip(parts.iter()) {
+                f(p, t);
             }
         }
-        for t in chunks.remainder() {
-            hist[partition_of(t.key, shift, bits)] += 1;
-        }
-    } else {
-        for t in tuples {
-            hist[partition_of(t.key, shift, bits)] += 1;
-        }
+        rest = chunks.remainder();
     }
+    for t in rest {
+        f(partition_of(t.key, shift, bits), t);
+    }
+}
+
+/// Per-partition counts of a tuple slice. Counts are bitwise-identical
+/// across kernel backends.
+pub fn histogram(tuples: &[Tuple], shift: u32, bits: u32, kernel: KernelBackend) -> Vec<u32> {
+    let mut hist = vec![0u32; fanout(bits)];
+    for_each_partition(tuples, shift, bits, kernel, |p, _| hist[p] += 1);
     hist
 }
 
@@ -86,20 +89,15 @@ impl Partitioned {
     }
 }
 
-/// Sequential single-pass partitioning.
-pub fn partition_seq(tuples: &[Tuple], shift: u32, bits: u32) -> Partitioned {
-    partition_seq_kernel(tuples, shift, bits, KernelBackend::Scalar)
-}
-
-/// [`partition_seq`] with a selectable derivation kernel (see
-/// [`histogram_kernel`]); output is bitwise-identical across backends.
-pub fn partition_seq_kernel(
+/// Sequential single-pass partitioning; output is bitwise-identical across
+/// kernel backends.
+pub fn partition_seq(
     tuples: &[Tuple],
     shift: u32,
     bits: u32,
     kernel: KernelBackend,
 ) -> Partitioned {
-    let hist = histogram_kernel(tuples, shift, bits, kernel);
+    let hist = histogram(tuples, shift, bits, kernel);
     let f = fanout(bits);
     let mut bounds = Vec::with_capacity(f + 1);
     let mut acc = 0usize;
@@ -110,32 +108,10 @@ pub fn partition_seq_kernel(
     }
     let mut cursor: Vec<usize> = bounds[..f].to_vec();
     let mut data = vec![Tuple::default(); tuples.len()];
-    if kernel.is_simd() {
-        let mask32 = (f - 1) as u32;
-        let mut chunks = tuples.chunks_exact(HASH_BLOCK);
-        let mut keys = [0 as Key; HASH_BLOCK];
-        for block in &mut chunks {
-            for (k, t) in keys.iter_mut().zip(block) {
-                *k = t.key;
-            }
-            let parts = partition_batch8(kernel, &keys, shift, mask32);
-            for (t, &p) in block.iter().zip(parts.iter()) {
-                data[cursor[p]] = *t;
-                cursor[p] += 1;
-            }
-        }
-        for t in chunks.remainder() {
-            let p = partition_of(t.key, shift, bits);
-            data[cursor[p]] = *t;
-            cursor[p] += 1;
-        }
-    } else {
-        for t in tuples {
-            let p = partition_of(t.key, shift, bits);
-            data[cursor[p]] = *t;
-            cursor[p] += 1;
-        }
-    }
+    for_each_partition(tuples, shift, bits, kernel, |p, t| {
+        data[cursor[p]] = *t;
+        cursor[p] += 1;
+    });
     Partitioned { data, bounds }
 }
 
@@ -235,22 +211,6 @@ impl SharedOut {
         *(*self.buf.get()).as_mut_ptr().add(idx) = t;
     }
 
-    /// Bulk-copy `src` into consecutive slots starting at `idx` — the flush
-    /// primitive of the write-combining scatter; one `memcpy` per cache
-    /// line instead of [`SWWC_TUPLES_PER_LINE`](crate::swwc::SWWC_TUPLES_PER_LINE)
-    /// scalar stores.
-    ///
-    /// # Safety
-    /// Same contract as [`SharedOut::write`], extended to the whole range
-    /// `idx..idx + src.len()`: it must be in bounds, owned exclusively by
-    /// the caller, and free of concurrent readers.
-    #[inline]
-    pub unsafe fn write_slice(&self, idx: usize, src: &[Tuple]) {
-        let buf = &mut *self.buf.get();
-        debug_assert!(idx + src.len() <= buf.len());
-        std::ptr::copy_nonoverlapping(src.as_ptr(), buf.as_mut_ptr().add(idx), src.len());
-    }
-
     /// View the contents.
     ///
     /// # Safety
@@ -340,18 +300,12 @@ impl ScatterPlan {
         }
     }
 
-    /// Scatter thread `tid`'s input chunk into the shared output.
-    /// `chunk` must be exactly the slice whose histogram was `hists[tid]`.
-    pub fn scatter_chunk(&self, chunk: &[Tuple], tid: usize, out: &SharedOut) {
-        self.scatter_chunk_kernel(chunk, tid, out, KernelBackend::Scalar)
-    }
-
-    /// [`ScatterPlan::scatter_chunk`] with a selectable derivation kernel:
-    /// under [`KernelBackend::Simd`] partition indices come 8 keys at a
-    /// time from the batched shift-and-mask kernel. The stores themselves
-    /// stay scalar (they are data-dependent scatters); output is
-    /// bitwise-identical across backends.
-    pub fn scatter_chunk_kernel(
+    /// Scatter slot `tid`'s input chunk into the shared output. `chunk`
+    /// must be exactly the slice whose histogram was `hists[tid]`. The
+    /// stores are data-dependent scalar scatters under every kernel; only
+    /// the partition derivation is batched (see [`histogram`]), so output
+    /// is bitwise-identical across backends.
+    pub fn scatter_chunk(
         &self,
         chunk: &[Tuple],
         tid: usize,
@@ -360,492 +314,23 @@ impl ScatterPlan {
     ) {
         let f = self.fanout;
         let mut cursor = self.starts[tid * f..(tid + 1) * f].to_vec();
-        if kernel.is_simd() {
-            let mask32 = (f - 1) as u32;
-            let mut chunks = chunk.chunks_exact(HASH_BLOCK);
-            let mut keys = [0 as Key; HASH_BLOCK];
-            for block in &mut chunks {
-                for (k, t) in keys.iter_mut().zip(block) {
-                    *k = t.key;
-                }
-                let parts = partition_batch8(kernel, &keys, self.shift, mask32);
-                for (t, &p) in block.iter().zip(parts.iter()) {
-                    // SAFETY: same disjoint-range argument as the scalar
-                    // loop below — the derivation is identical bit math.
-                    unsafe { out.write(cursor[p], *t) };
-                    cursor[p] += 1;
-                }
-            }
-            for t in chunks.remainder() {
-                let p = partition_of(t.key, self.shift, self.bits);
-                // SAFETY: as above.
-                unsafe { out.write(cursor[p], *t) };
-                cursor[p] += 1;
-            }
-        } else {
-            for t in chunk {
-                let p = partition_of(t.key, self.shift, self.bits);
-                // SAFETY: cursor[p] walks starts[tid*f+p] .. +hists[tid][p];
-                // the prefix sum makes those ranges disjoint across (tid, p)
-                // pairs and they tile 0..total().
-                unsafe { out.write(cursor[p], *t) };
-                cursor[p] += 1;
-            }
-        }
-    }
-
-    /// Software write-combining scatter (Balkesen et al.'s SWWCB) with
-    /// caller-provided buffers: tuples are staged in a cache-line-sized
-    /// buffer per partition and flushed a whole line at a time, so each
-    /// partition costs one TLB entry per flush instead of one per tuple.
-    /// Output is identical to [`ScatterPlan::scatter_chunk`], including
-    /// within-partition order — the buffers delay writes, never reorder
-    /// them. `bufs` must cover this plan's fan-out and arrive empty; the
-    /// trailing drain leaves it empty again, so one allocation serves every
-    /// chunk/cell a worker scatters.
-    pub fn scatter_chunk_swwc(
-        &self,
-        chunk: &[Tuple],
-        tid: usize,
-        out: &SharedOut,
-        bufs: &mut crate::swwc::SwwcBuffers,
-    ) {
-        self.scatter_chunk_swwc_kernel(chunk, tid, out, bufs, KernelBackend::Scalar)
-    }
-
-    /// [`ScatterPlan::scatter_chunk_swwc`] with a selectable derivation
-    /// kernel (see [`ScatterPlan::scatter_chunk_kernel`]); staging and
-    /// flush order are unchanged, so output stays bitwise-identical.
-    pub fn scatter_chunk_swwc_kernel(
-        &self,
-        chunk: &[Tuple],
-        tid: usize,
-        out: &SharedOut,
-        bufs: &mut crate::swwc::SwwcBuffers,
-        kernel: KernelBackend,
-    ) {
-        assert_eq!(bufs.fanout(), self.fanout, "buffers sized for another plan");
-        let f = self.fanout;
-        let mut cursor = self.starts[tid * f..(tid + 1) * f].to_vec();
-        if kernel.is_simd() {
-            let mask32 = (f - 1) as u32;
-            let mut chunks = chunk.chunks_exact(HASH_BLOCK);
-            let mut keys = [0 as Key; HASH_BLOCK];
-            for block in &mut chunks {
-                for (k, t) in keys.iter_mut().zip(block) {
-                    *k = t.key;
-                }
-                let parts = partition_batch8(kernel, &keys, self.shift, mask32);
-                for (t, &p) in block.iter().zip(parts.iter()) {
-                    // SAFETY: same disjointness argument as the scalar loop.
-                    unsafe { bufs.stage(p, *t, &mut cursor, out) };
-                }
-            }
-            for t in chunks.remainder() {
-                let p = partition_of(t.key, self.shift, self.bits);
-                // SAFETY: as above.
-                unsafe { bufs.stage(p, *t, &mut cursor, out) };
-            }
-        } else {
-            for t in chunk {
-                let p = partition_of(t.key, self.shift, self.bits);
-                // SAFETY: same disjointness argument as scatter_chunk — the
-                // staged line flushes into cursor[p]..cursor[p]+LINE, which
-                // stays within this (tid, p) range.
-                unsafe { bufs.stage(p, *t, &mut cursor, out) };
-            }
-        }
-        // SAFETY: drains the partial tails within the same ranges.
-        unsafe { bufs.flush(&mut cursor, out) };
-    }
-
-    /// [`ScatterPlan::scatter_chunk_swwc`] with freshly allocated buffers —
-    /// the one-shot form used by single-chunk ablations and benchmarks.
-    pub fn scatter_chunk_buffered(&self, chunk: &[Tuple], tid: usize, out: &SharedOut) {
-        let mut bufs = crate::swwc::SwwcBuffers::new(self.fanout);
-        self.scatter_chunk_swwc(chunk, tid, out, &mut bufs);
-    }
-}
-
-/// Parallel single-pass partitioning: per-thread histograms, exclusive
-/// prefix sums, then each thread scatters its own input chunk into its
-/// pre-reserved, mutually disjoint output slots.
-pub fn partition_parallel(tuples: &[Tuple], shift: u32, bits: u32, threads: usize) -> Partitioned {
-    partition_parallel_exec(tuples, shift, bits, threads, &Executor::spawn_mode())
-}
-
-/// Build the scatter arena for an executor: pinned executors get the
-/// first-touch (page-placement-deferred) arena, everything else the plain
-/// eagerly-zeroed one. Contents are bitwise-identical either way.
-fn arena_for(exec: &Executor, len: usize) -> SharedOut {
-    if exec.pinned() {
-        SharedOut::new_first_touch(len)
-    } else {
-        SharedOut::new(len)
-    }
-}
-
-/// [`partition_parallel`] on an [`Executor`]: parallel sections run on the
-/// executor's lanes (persistent pool or per-run spawning), and when the
-/// executor pins its workers the output arena is allocated untouched and
-/// each lane first-touches exactly its own scatter ranges, placing those
-/// pages on the lane's NUMA node. Output is bitwise-identical to
-/// [`partition_parallel`] in every mode.
-pub fn partition_parallel_exec(
-    tuples: &[Tuple],
-    shift: u32,
-    bits: u32,
-    threads: usize,
-    exec: &Executor,
-) -> Partitioned {
-    assert!(threads > 0);
-    if threads == 1 || tuples.len() < 1024 {
-        return partition_seq(tuples, shift, bits);
-    }
-
-    // Step 1: per-thread histograms over contiguous input chunks.
-    let hists: Vec<Vec<u32>> = exec.run(threads, |tid| {
-        histogram(
-            &tuples[chunk_range(tuples.len(), threads, tid)],
-            shift,
-            bits,
-        )
-    });
-
-    // Step 2: global partition bounds and per-(thread, partition) start
-    // offsets. Offsets are laid out partition-major: within partition `p`,
-    // thread 0's tuples precede thread 1's, etc.
-    let plan = ScatterPlan::from_histograms(&hists, shift, bits);
-    debug_assert_eq!(plan.total(), tuples.len());
-
-    // Step 3: contention-free scatter, preceded by first-touch of each
-    // lane's own ranges when the lanes are pinned.
-    let first_touch = exec.pinned();
-    let out = arena_for(exec, tuples.len());
-    let plan_ref = &plan;
-    let out_ref = &out;
-    exec.run(threads, |tid| {
-        if first_touch {
-            // SAFETY: touches exactly the (tid, p) ranges this lane
-            // scatters below — disjoint across lanes by the prefix sum.
-            unsafe { plan_ref.touch_chunk(tid, out_ref) };
-        }
-        plan_ref.scatter_chunk(
-            &tuples[chunk_range(tuples.len(), threads, tid)],
-            tid,
-            out_ref,
-        );
-    });
-    Partitioned {
-        data: out.into_vec(),
-        bounds: plan.bounds,
-    }
-}
-
-/// [`partition_parallel`] with the software write-combining scatter: same
-/// histogram and prefix-sum passes, but each worker scatters through one
-/// reused [`SwwcBuffers`](crate::swwc::SwwcBuffers) allocation. Output is
-/// bitwise-identical to [`partition_parallel`] and [`partition_seq`].
-pub fn partition_parallel_swwc(
-    tuples: &[Tuple],
-    shift: u32,
-    bits: u32,
-    threads: usize,
-) -> Partitioned {
-    partition_parallel_swwc_exec(tuples, shift, bits, threads, &Executor::spawn_mode())
-}
-
-/// [`partition_parallel_swwc`] on an [`Executor`] (see
-/// [`partition_parallel_exec`] for the lane and first-touch semantics).
-pub fn partition_parallel_swwc_exec(
-    tuples: &[Tuple],
-    shift: u32,
-    bits: u32,
-    threads: usize,
-    exec: &Executor,
-) -> Partitioned {
-    assert!(threads > 0);
-    if threads == 1 || tuples.len() < 1024 {
-        return partition_seq_buffered(tuples, shift, bits);
-    }
-    let hists: Vec<Vec<u32>> = exec.run(threads, |tid| {
-        histogram(
-            &tuples[chunk_range(tuples.len(), threads, tid)],
-            shift,
-            bits,
-        )
-    });
-    let plan = ScatterPlan::from_histograms(&hists, shift, bits);
-    debug_assert_eq!(plan.total(), tuples.len());
-    let first_touch = exec.pinned();
-    let out = arena_for(exec, tuples.len());
-    let (plan_ref, out_ref) = (&plan, &out);
-    exec.run(threads, |tid| {
-        if first_touch {
-            // SAFETY: touches exactly the (tid, p) ranges this lane
-            // scatters below — disjoint across lanes by the prefix sum.
-            unsafe { plan_ref.touch_chunk(tid, out_ref) };
-        }
-        let mut bufs = crate::swwc::SwwcBuffers::new(plan_ref.fanout);
-        plan_ref.scatter_chunk_swwc(
-            &tuples[chunk_range(tuples.len(), threads, tid)],
-            tid,
-            out_ref,
-            &mut bufs,
-        );
-    });
-    Partitioned {
-        data: out.into_vec(),
-        bounds: plan.bounds,
-    }
-}
-
-/// Morsel-driven variant of [`partition_parallel`]: the input is cut into a
-/// fixed grid of `morsel`-sized cells and workers claim cells from a
-/// [`MorselQueue`](crate::morsel::MorselQueue) — stealing from each other
-/// once their own deque drains — for both the histogram and the scatter
-/// pass. The grid (not the worker count) defines the scatter-plan slots, so
-/// a cell's histogram and its scatter always use the same slice no matter
-/// which worker ends up claiming it. Output layout is identical to
-/// [`partition_parallel`]: partitions in radix order, each preserving the
-/// input order of its tuples.
-pub fn partition_parallel_morsel(
-    tuples: &[Tuple],
-    shift: u32,
-    bits: u32,
-    threads: usize,
-    morsel: usize,
-) -> Partitioned {
-    partition_parallel_morsel_exec(
-        tuples,
-        shift,
-        bits,
-        threads,
-        morsel,
-        &Executor::spawn_mode(),
-    )
-}
-
-/// [`partition_parallel_morsel`] on an [`Executor`]. Under a pinned
-/// executor each claimed cell's scatter ranges are first-touched by the
-/// claiming lane immediately before it scatters them — with work stealing
-/// the cell-to-lane mapping is dynamic, so placement follows whichever
-/// lane actually writes the cell.
-pub fn partition_parallel_morsel_exec(
-    tuples: &[Tuple],
-    shift: u32,
-    bits: u32,
-    threads: usize,
-    morsel: usize,
-    exec: &Executor,
-) -> Partitioned {
-    use crate::morsel::{for_each_morsel, MorselQueue};
-    assert!(threads > 0);
-    if threads == 1 || tuples.len() < 1024 {
-        return partition_seq(tuples, shift, bits);
-    }
-    let m = morsel.max(1);
-    let cells = tuples.len().div_ceil(m);
-    let cell = |g: usize| &tuples[g * m..((g + 1) * m).min(tuples.len())];
-
-    // Step 1: per-cell histograms, cells claimed work-stealingly.
-    let hist_q = MorselQueue::new(cells, threads, 1);
-    let per_worker: Vec<Vec<(usize, Vec<u32>)>> = exec.run(threads, |tid| {
-        let mut local = Vec::new();
-        for_each_morsel(&hist_q, tid, |claimed, _| {
-            for g in claimed {
-                local.push((g, histogram(cell(g), shift, bits)));
-            }
+        for_each_partition(chunk, self.shift, self.bits, kernel, |p, t| {
+            // SAFETY: cursor[p] walks starts[tid*f+p] .. +hists[tid][p]; the
+            // prefix sum makes those ranges disjoint across (tid, p) pairs
+            // and they tile 0..total().
+            unsafe { out.write(cursor[p], *t) };
+            cursor[p] += 1;
         });
-        local
-    });
-    let mut hists = vec![Vec::new(); cells];
-    for (g, h) in per_worker.into_iter().flatten() {
-        hists[g] = h;
-    }
-
-    // Step 2: one scatter slot per grid cell.
-    let plan = ScatterPlan::from_histograms(&hists, shift, bits);
-    debug_assert_eq!(plan.total(), tuples.len());
-
-    // Step 3: contention-free scatter, cells claimed work-stealingly.
-    let first_touch = exec.pinned();
-    let out = arena_for(exec, tuples.len());
-    let scatter_q = MorselQueue::new(cells, threads, 1);
-    let (plan_ref, out_ref) = (&plan, &out);
-    exec.run(threads, |tid| {
-        for_each_morsel(&scatter_q, tid, |claimed, _| {
-            for g in claimed {
-                if first_touch {
-                    // SAFETY: cell `g`'s scatter ranges belong to this
-                    // claim alone; the claimer both touches and writes
-                    // them, so no other lane aliases the ranges.
-                    unsafe { plan_ref.touch_chunk(g, out_ref) };
-                }
-                plan_ref.scatter_chunk(cell(g), g, out_ref);
-            }
-        });
-    });
-    Partitioned {
-        data: out.into_vec(),
-        bounds: plan.bounds,
-    }
-}
-
-/// [`partition_parallel_morsel`] with the software write-combining scatter.
-/// Each worker keeps one [`SwwcBuffers`](crate::swwc::SwwcBuffers) for the
-/// whole pass; because every grid cell owns its own scatter-plan slot, the
-/// buffers are drained at each cell boundary (inside
-/// [`ScatterPlan::scatter_chunk_swwc`]) and the output stays bitwise
-/// identical to the direct morsel scatter regardless of which worker claims
-/// which cell.
-pub fn partition_parallel_morsel_swwc(
-    tuples: &[Tuple],
-    shift: u32,
-    bits: u32,
-    threads: usize,
-    morsel: usize,
-) -> Partitioned {
-    partition_parallel_morsel_swwc_exec(
-        tuples,
-        shift,
-        bits,
-        threads,
-        morsel,
-        &Executor::spawn_mode(),
-    )
-}
-
-/// [`partition_parallel_morsel_swwc`] on an [`Executor`] (see
-/// [`partition_parallel_morsel_exec`] for the lane and first-touch
-/// semantics).
-pub fn partition_parallel_morsel_swwc_exec(
-    tuples: &[Tuple],
-    shift: u32,
-    bits: u32,
-    threads: usize,
-    morsel: usize,
-    exec: &Executor,
-) -> Partitioned {
-    use crate::morsel::{for_each_morsel, MorselQueue};
-    assert!(threads > 0);
-    if threads == 1 || tuples.len() < 1024 {
-        return partition_seq_buffered(tuples, shift, bits);
-    }
-    let m = morsel.max(1);
-    let cells = tuples.len().div_ceil(m);
-    let cell = |g: usize| &tuples[g * m..((g + 1) * m).min(tuples.len())];
-
-    let hist_q = MorselQueue::new(cells, threads, 1);
-    let per_worker: Vec<Vec<(usize, Vec<u32>)>> = exec.run(threads, |tid| {
-        let mut local = Vec::new();
-        for_each_morsel(&hist_q, tid, |claimed, _| {
-            for g in claimed {
-                local.push((g, histogram(cell(g), shift, bits)));
-            }
-        });
-        local
-    });
-    let mut hists = vec![Vec::new(); cells];
-    for (g, h) in per_worker.into_iter().flatten() {
-        hists[g] = h;
-    }
-
-    let plan = ScatterPlan::from_histograms(&hists, shift, bits);
-    debug_assert_eq!(plan.total(), tuples.len());
-
-    let first_touch = exec.pinned();
-    let out = arena_for(exec, tuples.len());
-    let scatter_q = MorselQueue::new(cells, threads, 1);
-    let (plan_ref, out_ref) = (&plan, &out);
-    exec.run(threads, |tid| {
-        let mut bufs = crate::swwc::SwwcBuffers::new(plan_ref.fanout);
-        for_each_morsel(&scatter_q, tid, |claimed, _| {
-            for g in claimed {
-                if first_touch {
-                    // SAFETY: as in `partition_parallel_morsel_exec` — the
-                    // claiming lane alone touches and writes cell `g`.
-                    unsafe { plan_ref.touch_chunk(g, out_ref) };
-                }
-                plan_ref.scatter_chunk_swwc(cell(g), g, out_ref, &mut bufs);
-            }
-        });
-    });
-    Partitioned {
-        data: out.into_vec(),
-        bounds: plan.bounds,
-    }
-}
-
-/// Two-pass recursive partitioning: first pass on the low `bits1` key bits,
-/// then each first-pass partition is re-partitioned on the next `bits2`
-/// bits. This is how PRJ keeps the first-pass fan-out within TLB reach while
-/// still producing cache-sized final partitions (Balkesen et al.).
-pub fn partition_two_pass(tuples: &[Tuple], bits1: u32, bits2: u32, threads: usize) -> Partitioned {
-    partition_two_pass_exec(tuples, bits1, bits2, threads, &Executor::spawn_mode())
-}
-
-/// [`partition_two_pass`] on an [`Executor`]: both passes run on the
-/// executor's lanes (see [`partition_parallel_exec`]).
-pub fn partition_two_pass_exec(
-    tuples: &[Tuple],
-    bits1: u32,
-    bits2: u32,
-    threads: usize,
-    exec: &Executor,
-) -> Partitioned {
-    let first = partition_parallel_exec(tuples, 0, bits1, threads, exec);
-    if bits2 == 0 {
-        return first;
-    }
-    let f1 = fanout(bits1);
-    let f2 = fanout(bits2);
-    let mut data = vec![Tuple::default(); tuples.len()];
-    let mut bounds = Vec::with_capacity(f1 * f2 + 1);
-    bounds.push(0usize);
-    // Second pass is embarrassingly parallel over first-pass partitions;
-    // run it with the same worker count, each worker taking a slice of
-    // partitions. Output layout: partition (p1, p2) at index p1*f2 + p2.
-    let sub: Vec<Partitioned> = exec
-        .run(threads, |tid| {
-            let range = chunk_range(f1, threads, tid);
-            range
-                .map(|p1| partition_seq(first.partition(p1), bits1, bits2))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    let mut cursor = 0usize;
-    for part in &sub {
-        for p2 in 0..f2 {
-            let src = part.partition(p2);
-            data[cursor..cursor + src.len()].copy_from_slice(src);
-            cursor += src.len();
-            bounds.push(cursor);
-        }
-    }
-    debug_assert_eq!(cursor, tuples.len());
-    Partitioned { data, bounds }
-}
-
-/// Sequential partitioning via the write-combining scatter — the SWWCB
-/// ablation counterpart of [`partition_seq`].
-pub fn partition_seq_buffered(tuples: &[Tuple], shift: u32, bits: u32) -> Partitioned {
-    let hist = histogram(tuples, shift, bits);
-    let plan = ScatterPlan::from_histograms(std::slice::from_ref(&hist), shift, bits);
-    let out = SharedOut::new(tuples.len());
-    plan.scatter_chunk_buffered(tuples, 0, &out);
-    Partitioned {
-        data: out.into_vec(),
-        bounds: plan.bounds,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::chunk_range;
     use iawj_common::Rng;
+
+    const SCALAR: KernelBackend = KernelBackend::Scalar;
 
     fn random_tuples(n: usize, key_space: u32, seed: u64) -> Vec<Tuple> {
         let mut rng = Rng::new(seed);
@@ -873,79 +358,21 @@ mod tests {
     #[test]
     fn sequential_partition_correct() {
         let input = random_tuples(1000, 512, 1);
-        let p = partition_seq(&input, 0, 4);
+        let p = partition_seq(&input, 0, 4, SCALAR);
         check_partitioned(&p, &input, 0, 4);
         assert_eq!(p.fanout(), 16);
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let input = random_tuples(20_000, 1 << 14, 2);
-        let seq = partition_seq(&input, 0, 6);
-        let par = partition_parallel(&input, 0, 6, 4);
-        assert_eq!(seq.bounds, par.bounds);
-        check_partitioned(&par, &input, 0, 6);
-        // Within a partition, parallel scatter preserves input order
-        // (thread chunks are contiguous and offsets partition-major).
-        assert_eq!(seq.data, par.data);
-    }
-
-    #[test]
-    fn morsel_partition_is_bitwise_identical_to_static() {
-        let input = random_tuples(20_000, 1 << 14, 2);
-        let par = partition_parallel(&input, 0, 6, 4);
-        for morsel in [128usize, 512, 4096, 1 << 20] {
-            let stolen = partition_parallel_morsel(&input, 0, 6, 4, morsel);
-            assert_eq!(par.bounds, stolen.bounds, "morsel={morsel}");
-            // Grid cells are contiguous ascending slices and scatter slots
-            // are cell-major, so even the within-partition tuple order
-            // matches the static scatter exactly.
-            assert_eq!(par.data, stolen.data, "morsel={morsel}");
-        }
-    }
-
-    #[test]
-    fn morsel_partition_small_input_falls_back_to_seq() {
-        let input = random_tuples(500, 256, 7);
-        let p = partition_parallel_morsel(&input, 0, 5, 4, 64);
-        check_partitioned(&p, &input, 0, 5);
-    }
-
-    #[test]
     fn shifted_pass_uses_higher_bits() {
         let input = random_tuples(500, 1 << 10, 3);
-        let p = partition_seq(&input, 4, 4);
+        let p = partition_seq(&input, 4, 4, SCALAR);
         check_partitioned(&p, &input, 4, 4);
     }
 
     #[test]
-    fn two_pass_refines_first_pass() {
-        let input = random_tuples(10_000, 1 << 12, 4);
-        let p = partition_two_pass(&input, 4, 4, 3);
-        assert_eq!(p.fanout(), 256);
-        // Two-pass partition (p1, p2) must equal single-pass on 8 bits:
-        // index p1*16+p2 collects keys with low bits p2*16+p1... careful:
-        // pass 1 takes bits [0,4), pass 2 bits [4,8). Tuple with key k goes
-        // to p1 = k&15, p2 = (k>>4)&15, i.e. flat index (k&15)*16 + (k>>4&15).
-        for p1 in 0..16usize {
-            for p2 in 0..16usize {
-                for t in p.partition(p1 * 16 + p2) {
-                    assert_eq!((t.key & 15) as usize, p1);
-                    assert_eq!(((t.key >> 4) & 15) as usize, p2);
-                }
-            }
-        }
-        // Multiset preserved.
-        let mut a: Vec<u64> = input.iter().map(|t| t.pack()).collect();
-        let mut b: Vec<u64> = p.data.iter().map(|t| t.pack()).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn empty_input() {
-        let p = partition_parallel(&[], 0, 5, 4);
+        let p = partition_seq(&[], 0, 5, SCALAR);
         assert_eq!(p.fanout(), 32);
         assert_eq!(p.data.len(), 0);
         assert!(p.bounds.iter().all(|&b| b == 0));
@@ -954,7 +381,7 @@ mod tests {
     #[test]
     fn skewed_keys_pile_into_one_partition() {
         let input: Vec<Tuple> = (0..100).map(|i| Tuple::new(64, i)).collect();
-        let p = partition_seq(&input, 0, 4);
+        let p = partition_seq(&input, 0, 4, SCALAR);
         // key 64 -> low 4 bits are 0.
         assert_eq!(p.partition(0).len(), 100);
         for q in 1..16 {
@@ -962,213 +389,79 @@ mod tests {
         }
     }
 
-    #[test]
-    fn buffered_scatter_equals_plain() {
-        for (n, keys, bits) in [
-            (5000usize, 1u32 << 12, 8u32),
-            (100, 16, 4),
-            (7, 4, 2),
-            (0, 4, 2),
-        ] {
-            let input = random_tuples(n, keys.max(1), n as u64 + 9);
-            let plain = partition_seq(&input, 0, bits);
-            let buffered = partition_seq_buffered(&input, 0, bits);
-            assert_eq!(plain.bounds, buffered.bounds, "n={n} bits={bits}");
-            assert_eq!(plain.data, buffered.data, "n={n} bits={bits}");
-        }
-    }
-
-    #[test]
-    fn buffered_scatter_parallel_chunks_disjoint() {
-        // Drive the buffered scatter the way PRJ does: one plan, several
-        // chunks, flushed independently.
-        let input = random_tuples(4096, 1 << 10, 77);
-        let threads = 4;
-        let hists: Vec<Vec<u32>> = (0..threads)
-            .map(|t| {
-                histogram(
-                    &input[crate::pool::chunk_range(input.len(), threads, t)],
-                    0,
-                    6,
-                )
-            })
-            .collect();
-        let plan = ScatterPlan::from_histograms(&hists, 0, 6);
-        let out = SharedOut::new(input.len());
-        for t in 0..threads {
-            plan.scatter_chunk_buffered(
-                &input[crate::pool::chunk_range(input.len(), threads, t)],
-                t,
-                &out,
-            );
-        }
-        let data = out.into_vec();
-        let expect = partition_parallel(&input, 0, 6, threads);
-        assert_eq!(data, expect.data);
-    }
-
-    #[test]
-    fn swwc_parallel_is_bitwise_identical() {
-        let input = random_tuples(20_000, 1 << 14, 2);
-        let seq = partition_seq(&input, 0, 6);
-        for threads in [1usize, 2, 4, 7] {
-            let swwc = partition_parallel_swwc(&input, 0, 6, threads);
-            assert_eq!(seq.bounds, swwc.bounds, "threads={threads}");
-            assert_eq!(seq.data, swwc.data, "threads={threads}");
-            for morsel in [128usize, 500, 4096] {
-                let stolen = partition_parallel_morsel_swwc(&input, 0, 6, threads, morsel);
-                assert_eq!(seq.data, stolen.data, "threads={threads} morsel={morsel}");
-            }
-        }
-    }
-
-    /// Flush-boundary cases: partition counts that are not a multiple of
-    /// the line capacity, so every partial-drain path runs — a lone
-    /// under-filled line, exactly one line, one line plus a remainder, and
-    /// a chunk split mid-line across scatter slots.
-    #[test]
-    fn swwc_flushes_partial_lines_correctly() {
-        use crate::swwc::SWWC_TUPLES_PER_LINE;
-        let line = SWWC_TUPLES_PER_LINE as u32;
-        for per_part in [1u32, 3, line - 1, line, line + 1, 3 * line + 5] {
-            let input: Vec<Tuple> = (0..per_part)
-                .flat_map(|i| (0..4u32).map(move |k| Tuple::new(k, i)))
-                .collect();
-            let plain = partition_seq(&input, 0, 2);
-            let hist = histogram(&input, 0, 2);
-            let plan = ScatterPlan::from_histograms(std::slice::from_ref(&hist), 0, 2);
-            let out = SharedOut::new(input.len());
-            let mut bufs = crate::swwc::SwwcBuffers::new(plan.fanout);
-            plan.scatter_chunk_swwc(&input, 0, &out, &mut bufs);
-            assert_eq!(out.into_vec(), plain.data, "per_part={per_part}");
-        }
-        // Reusing one worker's buffers across several chunks must leave no
-        // residue: drive two slots back-to-back through the same buffers.
-        let input = random_tuples(1000, 64, 13);
-        let (a, b) = input.split_at(437); // splits mid-line for most partitions
-        let hists = vec![histogram(a, 0, 4), histogram(b, 0, 4)];
-        let plan = ScatterPlan::from_histograms(&hists, 0, 4);
-        let out = SharedOut::new(input.len());
-        let mut bufs = crate::swwc::SwwcBuffers::new(plan.fanout);
-        plan.scatter_chunk_swwc(a, 0, &out, &mut bufs);
-        plan.scatter_chunk_swwc(b, 1, &out, &mut bufs);
-        assert!(bufs.line_flushes() > 0, "full lines must have flushed");
-        assert_eq!(out.into_vec(), partition_seq(&input, 0, 4).data);
-    }
-
     /// The Simd derivation kernel is pure bit math: histograms, sequential
-    /// partitioning, and both scatter paths must be bitwise-identical to
-    /// the scalar loops across block-boundary sizes.
+    /// partitioning, and the scatter must be bitwise-identical to the
+    /// scalar loops across block-boundary sizes.
     #[test]
     fn simd_derivation_is_bitwise_identical() {
         for n in [0usize, 1, 7, 8, 9, 16, 17, 1000, 4097] {
             let input = random_tuples(n, 1 << 12, n as u64 + 3);
             for (shift, bits) in [(0u32, 6u32), (4, 4), (6, 8)] {
-                let scalar_hist = histogram(&input, shift, bits);
-                let simd_hist = histogram_kernel(&input, shift, bits, KernelBackend::Simd);
+                let scalar_hist = histogram(&input, shift, bits, SCALAR);
+                let simd_hist = histogram(&input, shift, bits, KernelBackend::Simd);
                 assert_eq!(scalar_hist, simd_hist, "n={n} shift={shift} bits={bits}");
 
-                let scalar_part = partition_seq(&input, shift, bits);
-                let simd_part = partition_seq_kernel(&input, shift, bits, KernelBackend::Simd);
+                let scalar_part = partition_seq(&input, shift, bits, SCALAR);
+                let simd_part = partition_seq(&input, shift, bits, KernelBackend::Simd);
                 assert_eq!(scalar_part.bounds, simd_part.bounds);
                 assert_eq!(scalar_part.data, simd_part.data);
 
                 let plan =
                     ScatterPlan::from_histograms(std::slice::from_ref(&scalar_hist), shift, bits);
                 let out = SharedOut::new(input.len());
-                plan.scatter_chunk_kernel(&input, 0, &out, KernelBackend::Simd);
-                assert_eq!(out.into_vec(), scalar_part.data, "direct scatter n={n}");
-
-                let out = SharedOut::new(input.len());
-                let mut bufs = crate::swwc::SwwcBuffers::new(plan.fanout);
-                plan.scatter_chunk_swwc_kernel(&input, 0, &out, &mut bufs, KernelBackend::Simd);
-                assert_eq!(out.into_vec(), scalar_part.data, "swwc scatter n={n}");
+                plan.scatter_chunk(&input, 0, &out, KernelBackend::Simd);
+                assert_eq!(out.into_vec(), scalar_part.data, "scatter n={n}");
             }
         }
     }
 
-    /// Every `_exec` variant on a pooled executor must be bitwise-identical
-    /// to its spawn-mode (delegating) entry point — the executor is a pure
-    /// performance knob.
-    #[test]
-    fn exec_variants_are_bitwise_identical_to_spawn() {
-        use crate::executor::{ExecMode, Executor};
-        use crate::topology::PinPolicy;
-        let input = random_tuples(20_000, 1 << 14, 2);
-        let threads = 4;
-        for pin in [PinPolicy::None, PinPolicy::Compact, PinPolicy::Scatter] {
-            let exec = Executor::new(ExecMode::Pool, pin, threads);
-            let par = partition_parallel_exec(&input, 0, 6, threads, &exec);
-            let base = partition_parallel(&input, 0, 6, threads);
-            assert_eq!(base.bounds, par.bounds, "pin={pin}");
-            assert_eq!(base.data, par.data, "pin={pin}");
-
-            let swwc = partition_parallel_swwc_exec(&input, 0, 6, threads, &exec);
-            assert_eq!(base.data, swwc.data, "swwc pin={pin}");
-
-            let morsel = partition_parallel_morsel_exec(&input, 0, 6, threads, 512, &exec);
-            assert_eq!(base.data, morsel.data, "morsel pin={pin}");
-
-            let morsel_swwc =
-                partition_parallel_morsel_swwc_exec(&input, 0, 6, threads, 512, &exec);
-            assert_eq!(base.data, morsel_swwc.data, "morsel_swwc pin={pin}");
-
-            let two = partition_two_pass_exec(&input, 4, 4, threads, &exec);
-            let two_base = partition_two_pass(&input, 4, 4, threads);
-            assert_eq!(two_base.bounds, two.bounds, "two-pass pin={pin}");
-            assert_eq!(two_base.data, two.data, "two-pass pin={pin}");
-        }
-    }
-
-    /// The first-touch arena and per-chunk touch pass are observationally
+    /// The first-touch arena and per-slot touch pass are observationally
     /// invisible: untouched slots are zero (like `SharedOut::new`), touched
-    /// slots stay zero, and a touched-then-scattered arena matches the
-    /// sequential partitioner exactly.
+    /// slots stay zero, and a touched-then-scattered arena — with the slots
+    /// scattered concurrently from scoped threads, so Miri checks the
+    /// disjointness argument — matches the sequential partitioner exactly.
     #[test]
-    fn first_touch_arena_matches_eager_arena() {
+    fn first_touch_multi_slot_scatter_matches_seq() {
         let eager = SharedOut::new(1000);
         let lazy = SharedOut::new_first_touch(1000);
         assert_eq!(lazy.len(), 1000);
         assert!(!lazy.is_empty());
         assert!(SharedOut::new_first_touch(0).is_empty());
-        // SAFETY: no concurrent writers exist in this test.
+        // SAFETY: no concurrent writers exist here.
         unsafe {
             lazy.touch(0..500);
             assert_eq!(eager.as_slice(), lazy.as_slice());
         }
         assert_eq!(eager.into_vec(), lazy.into_vec());
 
-        // Touch-then-scatter through a real plan.
-        let input = random_tuples(4096, 1 << 10, 77);
-        let threads = 4;
-        let hists: Vec<Vec<u32>> = (0..threads)
-            .map(|t| {
-                histogram(
-                    &input[crate::pool::chunk_range(input.len(), threads, t)],
-                    0,
-                    6,
-                )
-            })
+        let input = random_tuples(1024, 1 << 10, 77);
+        let slots = 4;
+        let chunk = |t: usize| &input[chunk_range(input.len(), slots, t)];
+        let hists: Vec<Vec<u32>> = (0..slots)
+            .map(|t| histogram(chunk(t), 0, 6, SCALAR))
             .collect();
         let plan = ScatterPlan::from_histograms(&hists, 0, 6);
-        assert_eq!(plan.slots(), threads);
+        assert_eq!(plan.slots(), slots);
         let out = SharedOut::new_first_touch(input.len());
-        for t in 0..threads {
-            // SAFETY: single-threaded here; ranges are disjoint per (t, p).
-            unsafe { plan.touch_chunk(t, &out) };
-            plan.scatter_chunk(
-                &input[crate::pool::chunk_range(input.len(), threads, t)],
-                t,
-                &out,
-            );
-        }
-        assert_eq!(out.into_vec(), partition_seq(&input, 0, 6).data);
+        std::thread::scope(|sc| {
+            for t in 0..slots {
+                let (plan, out) = (&plan, &out);
+                sc.spawn(move || {
+                    // SAFETY: each thread touches and writes only slot
+                    // `t`'s ranges, disjoint across slots by the prefix sum.
+                    unsafe { plan.touch_chunk(t, out) };
+                    plan.scatter_chunk(chunk(t), t, out, SCALAR);
+                });
+            }
+        });
+        assert_eq!(plan.bounds, partition_seq(&input, 0, 6, SCALAR).bounds);
+        assert_eq!(out.into_vec(), partition_seq(&input, 0, 6, SCALAR).data);
     }
 
     #[test]
     fn histogram_counts() {
         let input = vec![Tuple::new(0, 0), Tuple::new(1, 0), Tuple::new(17, 0)];
-        let h = histogram(&input, 0, 4);
+        let h = histogram(&input, 0, 4, SCALAR);
         assert_eq!(h[0], 1);
         assert_eq!(h[1], 2, "keys 1 and 17 share low nibble 1");
     }

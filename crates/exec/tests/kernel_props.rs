@@ -9,7 +9,9 @@ use iawj_exec::merge::{
     choose_splitters, kway_merge, kway_merge_loser, kway_merge_tagged, merge_two_into,
     merge_two_into_branchless, pairwise_merge, run_segment, splitter_bounds,
 };
-use iawj_exec::radix::{partition_two_pass, Partitioned};
+use iawj_exec::morsel::{for_each_morsel, MorselQueue};
+use iawj_exec::pool::chunk_range;
+use iawj_exec::radix::{histogram, partition_seq, ScatterPlan, SharedOut};
 use iawj_exec::sort::{sort_packed, sort_packed_kernel, SortBackend};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -107,21 +109,6 @@ proptest! {
             // covered exactly once.
             prop_assert_eq!(total, run.len());
         }
-    }
-
-    #[test]
-    fn two_pass_partition_preserves_multiset(
-        keys in proptest::collection::vec(any::<u32>(), 0..1500),
-        bits1 in 1u32..5, bits2 in 0u32..5, threads in 1usize..4) {
-        let tuples: Vec<Tuple> = keys.iter().enumerate()
-            .map(|(i, &k)| Tuple::new(k, i as u32)).collect();
-        let p: Partitioned = partition_two_pass(&tuples, bits1, bits2, threads);
-        let mut a: Vec<u64> = tuples.iter().map(|t| t.pack()).collect();
-        let mut b: Vec<u64> = p.data.iter().map(|t| t.pack()).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(p.fanout(), 1usize << (bits1 + bits2));
     }
 
     #[test]
@@ -249,6 +236,96 @@ proptest! {
             sort_packed(&mut v, backend);
             prop_assert_eq!(&v, &once, "{:?} not idempotent", backend);
             prop_assert!(v.windows(2).all(|w| w[0] <= w[1]));
+        }
+    }
+}
+
+/// Drive PRJ's parallel partition pass over `slots` (the input slice of
+/// each scatter-plan slot) on `workers` concurrent lanes: per-slot
+/// histograms, one plan, then touch-and-scatter per slot. With `steal` the
+/// slots form a morsel grid claimed through a [`MorselQueue`], as PRJ's
+/// steal mode claims grid cells; otherwise lane `tid` owns slot `tid`.
+fn scatter_pass(
+    input: &[Tuple],
+    slots: &[std::ops::Range<usize>],
+    workers: usize,
+    steal: bool,
+    (shift, bits): (u32, u32),
+    kernel: KernelBackend,
+    first_touch: bool,
+) -> (Vec<usize>, Vec<Tuple>) {
+    let hists: Vec<Vec<u32>> = slots
+        .iter()
+        .map(|r| histogram(&input[r.clone()], shift, bits, kernel))
+        .collect();
+    let plan = ScatterPlan::from_histograms(&hists, shift, bits);
+    let out = if first_touch {
+        SharedOut::new_first_touch(input.len())
+    } else {
+        SharedOut::new(input.len())
+    };
+    let scatter = |g: usize| {
+        if first_touch {
+            // SAFETY: slot `g` is claimed by exactly one lane, which both
+            // touches and writes its ranges; ranges are disjoint per slot.
+            unsafe { plan.touch_chunk(g, &out) };
+        }
+        plan.scatter_chunk(&input[slots[g].clone()], g, &out, kernel);
+    };
+    let queue = MorselQueue::new(slots.len(), workers, 1);
+    iawj_exec::run_workers(workers, |tid| {
+        if steal {
+            for_each_morsel(&queue, tid, |claimed, _| claimed.for_each(scatter));
+        } else {
+            scatter(tid);
+        }
+    });
+    (plan.bounds, out.into_vec())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// The one parallel scatter path: [`ScatterPlan::scatter_chunk`] driven
+    /// over contiguous per-thread chunks or over a morsel grid, on a plain
+    /// or first-touch arena, under both kernels, must equal the sequential
+    /// scalar partitioner bitwise — bounds, data, and within-partition
+    /// order — including when every key lands in a single partition.
+    #[test]
+    fn scatter_plan_matches_sequential_partition(
+        keys in proptest::collection::vec(any::<u32>(), 0..3000),
+        shift in 0u32..9,
+        bits in 1u32..9,
+        workers in 1usize..6,
+        morsel in 1usize..600,
+        single_partition in any::<bool>(),
+    ) {
+        let input: Vec<Tuple> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| Tuple::new(if single_partition { 0xabcd } else { k }, i as u32))
+            .collect();
+        let n = input.len();
+        let expect = partition_seq(&input, shift, bits, KernelBackend::Scalar);
+        if single_partition {
+            let p = ((0xabcdu32 >> shift) as usize) & ((1 << bits) - 1);
+            prop_assert_eq!(expect.partition(p).len(), n);
+        }
+        let chunks: Vec<_> = (0..workers).map(|t| chunk_range(n, workers, t)).collect();
+        let grid: Vec<_> = (0..n.div_ceil(morsel).max(1))
+            .map(|g| (g * morsel).min(n)..((g + 1) * morsel).min(n))
+            .collect();
+        for (slots, steal) in [(&chunks, false), (&grid, true)] {
+            for kernel in [KernelBackend::Scalar, KernelBackend::Simd] {
+                for first_touch in [false, true] {
+                    let (bounds, data) = scatter_pass(
+                        &input, slots, workers, steal, (shift, bits), kernel, first_touch,
+                    );
+                    let ctx = format!("steal={steal} {kernel:?} first_touch={first_touch}");
+                    prop_assert_eq!(&bounds, &expect.bounds, "{}", ctx);
+                    prop_assert_eq!(&data, &expect.data, "{}", ctx);
+                }
+            }
         }
     }
 }

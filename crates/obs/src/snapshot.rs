@@ -60,7 +60,8 @@ pub struct RunSnapshot {
     pub threads: u64,
     /// Scheduler mode (`"static"` / `"steal"`).
     pub scheduler: String,
-    /// PRJ scatter mode (`"direct"` / `"swwc"`).
+    /// PRJ scatter path. Always `"direct"` since PRJ has a single scatter
+    /// path; kept so the v1 run key still matches committed baselines.
     pub scatter: String,
     /// NPJ shared-table mode (`"latch"` / `"lockfree"`).
     pub npj_table: String,

@@ -118,6 +118,17 @@ fn cpu_utilisation_bounded() {
         let u = res.cpu_utilisation();
         assert!((0.0..=1.0).contains(&u), "{algo}: utilisation {u}");
     }
+    // A compute-bound static run: busy wall time fills most of the wall
+    // elapsed time, so a speedup that scales the stream clock must not
+    // scale utilisation down with it.
+    let ds = MicroSpec::static_counts(40_000, 40_000).seed(22).generate();
+    let res = execute(
+        Algorithm::Npj,
+        &ds,
+        &RunConfig::with_threads(2).speedup(25.0),
+    );
+    let u = res.cpu_utilisation();
+    assert!(u > 0.2, "static NPJ at speedup 25: utilisation {u}");
 }
 
 #[test]

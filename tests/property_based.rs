@@ -80,29 +80,6 @@ proptest! {
     }
 
     #[test]
-    fn radix_partition_is_a_permutation(
-        keys in proptest::collection::vec(any::<u32>(), 0..2000),
-        bits in 1u32..10,
-        threads in 1usize..5,
-    ) {
-        use iawj_study::common::Tuple;
-        use iawj_study::exec::radix::{partition_of, partition_parallel};
-        let tuples: Vec<Tuple> = keys.iter().enumerate()
-            .map(|(i, &k)| Tuple::new(k, i as u32)).collect();
-        let part = partition_parallel(&tuples, 0, bits, threads);
-        let mut a: Vec<u64> = tuples.iter().map(|t| t.pack()).collect();
-        let mut b: Vec<u64> = part.data.iter().map(|t| t.pack()).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-        for p in 0..part.fanout() {
-            for t in part.partition(p) {
-                prop_assert_eq!(partition_of(t.key, 0, bits), p);
-            }
-        }
-    }
-
-    #[test]
     fn merge_join_count_matches_hashmap(
         r_keys in proptest::collection::vec(0u32..50, 0..300),
         s_keys in proptest::collection::vec(0u32..50, 0..300),
